@@ -96,6 +96,16 @@ def test_usage_errors_exit_code(tmp_path):
     assert main(["nonsense"]) == 1
 
 
+def test_numerical_error_exit_code(tmp_path, capsys):
+    for spec in ("grid:5x5", "grid:30x17"):  # dense and shift-invert routes
+        argv = ["gap", "--gen", spec, "--boundary", "grid-perimeter", "--tol", "1e-30"]
+        rc = main(argv + ["--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical error:" in err and "exceeds tolerance 1.000e-30" in err
+    assert not (tmp_path / "gap.csv").exists()
+
+
 def test_tree_converge_command(tmp_path):
     rc = main(
         ["tree-converge", "--degree", "3", "--max-levels", "8", "--out", str(tmp_path)]
@@ -208,3 +218,11 @@ def test_keep_disconnected_flag(tmp_path):
     base = ["gap", "--input", str(tmp_path / "two.edges"), "--out", str(tmp_path)]
     assert main(base) == 0  # reduced to largest component
     assert main(base + ["--keep-disconnected"]) == 3  # zero gap rejected
+
+    # two disjoint 10x10 grids: large enough for the shift-invert route
+    grid = sorted(ds.gen_grid(10, 10).labeled_edges())
+    lines = [f"{p}{u} {p}{v}" for p in "ab" for u, v in grid]
+    (tmp_path / "grids.edges").write_text("\n".join(lines) + "\n")
+    base = ["gap", "--input", str(tmp_path / "grids.edges"), "--boundary", "grid-perimeter"]
+    assert main(base + ["--out", str(tmp_path)]) == 0
+    assert main(base + ["--keep-disconnected", "--out", str(tmp_path)]) == 3

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dirspec as ds
+from dirspec import spectral
 from dirspec.errors import DataError, NumericalError
 from dirspec.graph import Graph
 from dirspec.spectral import (
@@ -133,22 +134,86 @@ def test_eigen_contract_residuals_orthonormality():
 
 
 def test_iterative_path_contract():
-    g = ds.gen_tree(3, 10)  # 3070 nodes: forces the iterative solver
+    g = ds.gen_tree(3, 10)  # 3070 nodes
     m = build_normalized_laplacian(g)
     res = smallest_eigenpairs(m, 2)
+    assert res.route == "shift-invert"
     assert (res.residuals <= 1e-8).all()
     assert abs(res.eigenvalues[0]) <= 1e-10
     assert res.eigenvalues[1] > 0
 
 
+def test_auto_route_policy():
+    tiny = build_normalized_laplacian(ds.gen_grid(8, 8))
+    assert tiny.n == 64
+    assert smallest_eigenpairs(tiny, 1).route == "dense"
+    small = build_normalized_laplacian(path_graph(12))
+    assert smallest_eigenpairs(small, 2).route == "dense"
+    # full and near-full spectra take the dense route at any size
+    tree = build_normalized_laplacian(ds.gen_tree(3, 5))
+    assert tree.n > 64
+    assert smallest_eigenpairs(tree, tree.n - 1).route == "dense"
+    assert smallest_eigenpairs(tree, tree.n).route == "dense"
+    assert smallest_eigenpairs(tree, tree.n - 2).route == "shift-invert"
+    big = build_normalized_laplacian(ds.gen_tree(4, 6))
+    assert big.n == 1457
+    for k in (1, 2):
+        assert smallest_eigenpairs(big, k).route == "shift-invert"
+    assert smallest_eigenpairs(big, 2, method="dense").route == "dense"
+
+
 def test_dense_and_iterative_agree():
-    # spec property: agreement to 1e-7 for 500 <= n <= 2048
-    for g in (ds.gen_tree(3, 8), ds.gen_grid(24, 24), ds.gen_whisker(30, 20, 25)):
-        assert 500 <= g.node_count <= 2048
+    # every operator with more than DENSE_LIMIT rows takes the shift-invert route
+    cases = []
+    for g, boundary in (
+        (ds.gen_tree(3, 8), "leaves"),
+        (ds.gen_grid(24, 24), "grid-perimeter"),
+        (ds.gen_whisker(30, 20, 25), "degree-one"),
+        (ds.gen_grid(30, 17), "grid-perimeter"),
+        (path_graph(500), "degree-one"),
+    ):
+        cases.append(build_normalized_laplacian(g))
+        cases.append(build_dirichlet_laplacian(g, ds.resolve_boundary(g, boundary)))
+    nondegenerate = 0
+    for m in cases:
+        assert m.n > 64
+        dense = smallest_eigenpairs(m, 3, method="dense")
+        it = smallest_eigenpairs(m, 2, method="shift-invert")
+        assert np.abs(dense.eigenvalues[:2] - it.eigenvalues).max() <= 1e-7
+        if dense.eigenvalues[2] - dense.eigenvalues[1] > 1e-6:
+            # a unique 2-dimensional eigenspace: both routes must span it, so
+            # the cosines of the principal angles between their spans are 1
+            nondegenerate += 1
+            overlap = dense.eigenvectors[:, :2].T @ it.eigenvectors
+            cosines = np.linalg.svd(overlap, compute_uv=False)
+            assert np.abs(cosines - 1).max() <= 1e-8
+    assert nondegenerate >= 4
+
+
+def test_missed_eigenvalue_raises(monkeypatch):
+    # an eigsh that skips the second eigenpair, as Lanczos can on a repeated
+    # eigenvalue: every returned pair still meets its residual tolerance
+    real_eigsh = spectral.eigsh
+
+    def skipping_eigsh(a, k, **kwargs):
+        vals, vecs = real_eigsh(a, k=k + 1, **kwargs)
+        order = np.argsort(vals)
+        keep = np.delete(order, 1)
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(spectral, "eigsh", skipping_eigsh)
+    m = build_normalized_laplacian(ds.gen_grid(30, 17))
+    with pytest.raises(NumericalError, match="missed eigenvalues: 2 lie below .*only 1"):
+        smallest_eigenpairs(m, 2)
+
+
+def test_unreachable_tolerance_raises_with_residual():
+    for g in (path_graph(12), ds.gen_grid(30, 17)):
         m = build_normalized_laplacian(g)
-        dense = smallest_eigenpairs(m, 2, method="dense").eigenvalues
-        it = smallest_eigenpairs(m, 2, method="iterative").eigenvalues
-        assert np.abs(dense - it).max() <= 1e-7
+        with pytest.raises(
+            NumericalError, match=r"eigenpair residual \d\.\d{3}e-\d+ exceeds tolerance 1\.000e-30"
+        ):
+            smallest_eigenpairs(m, 2, tol=1e-30)
 
 
 def test_trivial_eigenpair_annihilated():
