@@ -9,9 +9,21 @@ with bitmask arithmetic, comparing ratios exactly as integer fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .errors import DataError
-from .graph import BoundarySpec, Graph, NodeSet, edge_boundary, volume
+from .graph import (
+    BoundarySpec,
+    Graph,
+    NodeSet,
+    _mask_edge_boundary,
+    _mask_volume,
+    _node_mask,
+    edge_boundary,
+    volume,
+)
 
 BRUTE_FORCE_CAP = 20
 
@@ -34,12 +46,16 @@ def infinite_tree_cheeger_constant(degree: int) -> int:
 
 def cheeger_ratio(g: Graph, s: NodeSet) -> float:
     """e(S, ~S) / min(vol S, vol ~S) for a nonempty proper subset S."""
-    size = len(set(s))
+    return _mask_cheeger_ratio(g, _node_mask(g, s, allow_empty=True))
+
+
+def _mask_cheeger_ratio(g: Graph, mask: np.ndarray) -> float:
+    size = int(np.count_nonzero(mask))
     if size == 0 or size >= g.node_count:
         raise DataError("cheeger_ratio needs a nonempty proper subset")
-    vol_s = volume(g, s)
+    vol_s = _mask_volume(g, mask)
     vol_rest = 2 * g.edge_count - vol_s
-    return edge_boundary(g, s) / min(vol_s, vol_rest)
+    return _mask_edge_boundary(g, mask) / min(vol_s, vol_rest)
 
 
 def local_cheeger_ratio(g: Graph, b: BoundarySpec, t: NodeSet) -> float:
@@ -52,18 +68,56 @@ def local_cheeger_ratio(g: Graph, b: BoundarySpec, t: NodeSet) -> float:
     return edge_boundary(g, t) / volume(g, t)
 
 
-def _neighbor_masks(g: Graph) -> list[int]:
+def _neighbor_masks(g: Graph, nodes: list[int]) -> list[int]:
+    """Per node of ``nodes``, the bitmask of its neighbors' positions in ``nodes``."""
+    pos = {v: i for i, v in enumerate(nodes)}
     masks = []
-    for v in range(g.node_count):
+    for v in nodes:
         m = 0
         for u in g.neighbors(v):
-            m |= 1 << int(u)
+            j = pos.get(int(u))
+            if j is not None:
+                m |= 1 << j
         masks.append(m)
     return masks
 
 
 def _lex_key(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _minimum_ratio_subset(
+    deg: list[int], nbr: list[int], denominator: Callable[[int], int]
+) -> tuple[int, int, int]:
+    """Exact minimum of e(S, ~S) / denominator(vol S) over nonempty position sets.
+
+    ``deg[i]`` is the full-graph degree of position i and ``nbr[i]`` the
+    bitmask of its neighbors among the positions.  Volume and the inside edge
+    count of each subset extend those of the subset without its lowest
+    member, so enumeration is 2^len(deg).  Subsets whose denominator is 0
+    have no ratio and are skipped.  Ratios compare exactly as integer cross
+    products; ties break to the lexicographically smallest membership
+    sequence.  Returns (cut edges, denominator, subset bitmask).
+    """
+    size = 1 << len(deg)
+    vol = [0] * size
+    within = [0] * size  # doubled count of edges inside the subset
+    best_e = best_den = 0
+    best_mask = -1
+    for s in range(1, size):
+        low = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        vol[s] = vol[rest] + deg[low]
+        within[s] = within[rest] + 2 * (nbr[low] & rest).bit_count()
+        den = denominator(vol[s])
+        if den == 0:
+            continue
+        cut = vol[s] - within[s]
+        if best_mask < 0 or cut * best_den < best_e * den:
+            best_e, best_den, best_mask = cut, den, s
+        elif cut * best_den == best_e * den and _lex_key(s) < _lex_key(best_mask):
+            best_mask = s
+    return best_e, best_den, best_mask
 
 
 def brute_force_cheeger_constant(g: Graph, max_n: int = BRUTE_FORCE_CAP) -> CheegerReport:
@@ -75,29 +129,17 @@ def brute_force_cheeger_constant(g: Graph, max_n: int = BRUTE_FORCE_CAP) -> Chee
     n = g.node_count
     if n > max_n:
         raise DataError(f"graph too large for brute force ({n} > {max_n})")
-    deg = [int(d) for d in g.degree]
-    nbr = _neighbor_masks(g)
+    nodes = list(range(n))
     total_vol = 2 * g.edge_count
-
-    size = 1 << n
-    vol = [0] * size
-    within = [0] * size  # doubled count of edges inside the subset
-    best_e = best_den = 0
-    best_mask = -1
-    for s in range(1, size - 1):
-        low = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        vol[s] = vol[rest] + deg[low]
-        within[s] = within[rest] + 2 * (nbr[low] & rest).bit_count()
-        cut = vol[s] - within[s]
-        den = min(vol[s], total_vol - vol[s])
-        if best_mask < 0 or cut * best_den < best_e * den:
-            best_e, best_den, best_mask = cut, den, s
-        elif cut * best_den == best_e * den and _lex_key(s) < _lex_key(best_mask):
-            best_mask = s
+    # the full set is the one subset with min(vol, total - vol) == 0
+    cut, den, mask = _minimum_ratio_subset(
+        [int(d) for d in g.degree],
+        _neighbor_masks(g, nodes),
+        lambda vol: min(vol, total_vol - vol),
+    )
     return CheegerReport(
-        value=best_e / best_den,
-        witness=frozenset(_lex_key(best_mask)),
+        value=cut / den,
+        witness=frozenset(_lex_key(mask)),
         kind="global-constant",
     )
 
@@ -112,34 +154,11 @@ def brute_force_local_cheeger_constant(
         raise DataError("empty interior")
     if m > max_n:
         raise DataError(f"interior too large for brute force ({m} > {max_n})")
-    deg = [int(g.degree[v]) for v in interior]
-    full_nbr = _neighbor_masks(g)
-    pos = {v: i for i, v in enumerate(interior)}
-    # neighbor masks re-indexed to interior positions, interior-interior edges only
-    nbr = []
-    for v in interior:
-        mask = 0
-        for u in g.neighbors(v):
-            j = pos.get(int(u))
-            if j is not None:
-                mask |= 1 << j
-        nbr.append(mask)
-
-    size = 1 << m
-    vol = [0] * size
-    within = [0] * size
-    best_e = best_den = 0
-    best_mask = -1
-    for s in range(1, size):
-        low = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        vol[s] = vol[rest] + deg[low]
-        within[s] = within[rest] + 2 * (nbr[low] & rest).bit_count()
-        cut = vol[s] - within[s]
-        den = vol[s]
-        if best_mask < 0 or cut * best_den < best_e * den:
-            best_e, best_den, best_mask = cut, den, s
-        elif cut * best_den == best_e * den and _lex_key(s) < _lex_key(best_mask):
-            best_mask = s
-    witness = frozenset(interior[i] for i in _lex_key(best_mask))
-    return CheegerReport(value=best_e / best_den, witness=witness, kind="local-constant")
+    # positions are interior nodes, so only interior-interior edges are inside
+    cut, den, mask = _minimum_ratio_subset(
+        [int(g.degree[v]) for v in interior],
+        _neighbor_masks(g, interior),
+        lambda vol: vol,
+    )
+    witness = frozenset(interior[i] for i in _lex_key(mask))
+    return CheegerReport(value=cut / den, witness=witness, kind="local-constant")

@@ -15,9 +15,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cheeger import cheeger_ratio
+from .cheeger import _mask_cheeger_ratio
 from .errors import DataError, NumericalError
-from .graph import BoundarySpec, Graph, NodeSet, components
+from .graph import (
+    BoundarySpec,
+    Graph,
+    NodeSet,
+    _mask_components,
+    _mask_nodes,
+    _node_mask,
+)
 from .spectral import (
     SymmetricMatrix,
     build_dirichlet_laplacian,
@@ -49,13 +56,20 @@ class CutRecord:
 
 
 def evaluate_cut(g: Graph, nodes: Iterable[int], method: str) -> CutRecord:
-    """Score one cut: its Cheeger ratio and induced component count."""
-    members = frozenset(int(v) for v in nodes)
+    """Score one cut: its Cheeger ratio and induced component count.
+
+    The node set is turned into one boolean mask over the graph's ids, and
+    size, volume, edge boundary and components are all read from that mask
+    with array operations; duplicate ids count once.  Raises DataError for
+    ids outside the graph and for an empty or full set.
+    """
+    mask = _node_mask(g, nodes, allow_empty=True)
+    members = _mask_nodes(g, mask)
     return CutRecord(
         size=len(members),
         nodes=members,
-        h=cheeger_ratio(g, members),
-        c=components(g, members),
+        h=_mask_cheeger_ratio(g, mask),
+        c=_mask_components(g, mask),
         method=method,
     )
 
@@ -151,17 +165,23 @@ def rank_nodes(
 
 def reattach_boundary(g: Graph, b: BoundarySpec, interior_cut: Iterable[int]) -> NodeSet:
     """Pull each boundary node into the cut when most of its interior
-    neighbors are inside; exact ties and neighbor-less nodes stay outside."""
-    cut = set(int(v) for v in interior_cut)
-    if cut & b.nodes:
+    neighbors are inside; exact ties and neighbor-less nodes stay outside.
+
+    Counts both sides of the majority per boundary node with one bincount
+    over the edges that join the boundary to the interior.
+    """
+    cut = _node_mask(g, interior_cut, allow_empty=True)
+    on_boundary = _node_mask(g, b.nodes, allow_empty=True)
+    if (cut & on_boundary).any():
         raise DataError("interior cut contains boundary nodes")
-    added = []
-    for v in sorted(b.nodes):
-        interior_nbrs = [int(u) for u in g.neighbors(v) if int(u) not in b.nodes]
-        inside = sum(1 for u in interior_nbrs if u in cut)
-        if 2 * inside > len(interior_nbrs):
-            added.append(v)
-    return frozenset(cut | set(added))
+    eu, ev = g.edge_arrays
+    u_stub = on_boundary[eu]
+    cross = u_stub != on_boundary[ev]
+    stub = np.where(u_stub, eu, ev)[cross]
+    inner = np.where(u_stub, ev, eu)[cross]
+    total = np.bincount(stub, minlength=g.node_count)
+    inside = np.bincount(stub[cut[inner]], minlength=g.node_count)
+    return _mask_nodes(g, cut | (2 * inside > total))
 
 
 def _ranking(g: Graph, m: SymmetricMatrix, tol: float) -> np.ndarray:

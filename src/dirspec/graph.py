@@ -74,6 +74,13 @@ class Graph:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     @cached_property
+    def _id_objects(self) -> np.ndarray:
+        """The ids 0..n-1 as Python ints in an object array.  Node sets built
+        from a mask take their members from here, so the many nested cuts a
+        sweep keeps share one int per node instead of each holding copies."""
+        return np.arange(self.node_count).astype(object)
+
+    @cached_property
     def adjacency_matrix(self) -> sp.csr_matrix:
         data = np.ones(self.indices.size, dtype=np.int8)
         return sp.csr_matrix(
@@ -163,38 +170,77 @@ def build_graph(edge_pairs: Iterable[Sequence[str]]) -> Graph:
     )
 
 
-def _node_array(g: Graph, s: Iterable[int], allow_empty: bool = False) -> np.ndarray:
-    ids = np.fromiter((int(v) for v in s), dtype=np.int64)
-    ids = np.unique(ids)
+def _node_mask(g: Graph, s: Iterable[int], allow_empty: bool = False) -> np.ndarray:
+    """Boolean membership mask over the graph's ids; duplicates collapse.
+
+    Ids are range-checked on both sides before indexing, because a negative
+    id would otherwise wrap around to mark a node counted from the end.
+    """
+    if isinstance(s, np.ndarray):
+        ids = s.astype(np.int64, copy=False)
+    else:
+        ids = np.fromiter(s, dtype=np.int64)
     if ids.size == 0:
-        if allow_empty:
-            return ids
-        raise DataError("empty node set")
-    if ids[0] < 0 or ids[-1] >= g.node_count:
+        if not allow_empty:
+            raise DataError("empty node set")
+    elif ids.min() < 0 or ids.max() >= g.node_count:
         raise DataError("node id out of range for this graph")
-    return ids
-
-
-def volume(g: Graph, s: Iterable[int]) -> int:
-    """Sum of degrees over the node set."""
-    ids = _node_array(g, s)
-    return int(g.degree[ids].sum())
-
-
-def edge_boundary(g: Graph, s: Iterable[int]) -> int:
-    """Number of edges with exactly one endpoint in the node set."""
-    ids = _node_array(g, s, allow_empty=True)
     mask = np.zeros(g.node_count, dtype=bool)
     mask[ids] = True
+    return mask
+
+
+def _mask_nodes(g: Graph, mask: np.ndarray) -> NodeSet:
+    return frozenset(g._id_objects[mask].tolist())
+
+
+def _mask_volume(g: Graph, mask: np.ndarray) -> int:
+    return int(g.degree[mask].sum())
+
+
+def _mask_edge_boundary(g: Graph, mask: np.ndarray) -> int:
     eu, ev = g.edge_arrays
     return int(np.count_nonzero(mask[eu] != mask[ev]))
 
 
+def _mask_components(g: Graph, mask: np.ndarray) -> int:
+    """Components of the subgraph induced by the mask.
+
+    Counted on the adjacency entries with both endpoints in the mask.  That
+    matrix is symmetric, so its strong components are the undirected ones,
+    and scipy builds no transpose for them.  Every node outside the mask is
+    a singleton there and is subtracted.  Float data and the adjacency's own
+    index dtype spare scipy a conversion copy per call.
+    """
+    a = g.adjacency_matrix
+    keep = np.repeat(mask, g.degree) & mask[a.indices]
+    indptr = np.zeros(keep.size + 1, dtype=a.indptr.dtype)
+    np.cumsum(keep, out=indptr[1:])
+    sub = sp.csr_matrix(
+        (np.ones(int(indptr[-1])), a.indices[keep], indptr[a.indptr]), shape=a.shape
+    )
+    count = csgraph.connected_components(sub, directed=True, connection="strong")[0]
+    return int(count) - (g.node_count - int(np.count_nonzero(mask)))
+
+
+def volume(g: Graph, s: Iterable[int]) -> int:
+    """Sum of degrees over the node set."""
+    return _mask_volume(g, _node_mask(g, s))
+
+
+def edge_boundary(g: Graph, s: Iterable[int]) -> int:
+    """Number of edges with exactly one endpoint in the node set."""
+    return _mask_edge_boundary(g, _node_mask(g, s, allow_empty=True))
+
+
 def components(g: Graph, s: Iterable[int]) -> int:
-    """Number of connected components of the subgraph induced by the node set."""
-    ids = _node_array(g, s)
-    sub = g.adjacency_matrix[ids][:, ids]
-    return int(csgraph.connected_components(sub, directed=False)[0])
+    """Number of connected components of the subgraph induced by the node set.
+
+    Scored on a boolean mask of the set over the whole graph (see
+    ``_mask_components``), so the cost is linear in the graph, with no
+    re-indexed submatrix.
+    """
+    return _mask_components(g, _node_mask(g, s))
 
 
 def is_connected(g: Graph) -> bool:
@@ -257,12 +303,10 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
 
     Nodes with no surviving edge are dropped (Graph cannot hold isolated nodes).
     """
-    ids = _node_array(g, nodes)
-    inset = np.zeros(g.node_count, dtype=bool)
-    inset[ids] = True
+    inset = _node_mask(g, nodes)
     pairs = [
         (g.labels[u], g.labels[v])
-        for u in ids
+        for u in np.flatnonzero(inset)
         for v in g.neighbors(u)
         if v > u and inset[v]
     ]
@@ -329,9 +373,7 @@ def resolve_boundary(
     elif policy == "radius-cut":
         if parent is None or parent_nodes is None:
             raise DataError("radius-cut boundary requires the parent graph and node set")
-        pids = _node_array(parent, parent_nodes)
-        inset = np.zeros(parent.node_count, dtype=bool)
-        inset[pids] = True
+        inset = _node_mask(parent, parent_nodes)
         picked = []
         for i, lab in enumerate(g.labels):
             p = parent.label_to_id.get(lab)
@@ -343,7 +385,7 @@ def resolve_boundary(
     else:  # explicit-list
         if explicit is None:
             raise DataError("explicit-list boundary requires the node ids")
-        nodes = frozenset(int(v) for v in _node_array(g, explicit, allow_empty=True))
+        nodes = _mask_nodes(g, _node_mask(g, explicit, allow_empty=True))
 
     if len(nodes) == g.node_count:
         raise DataError(f"no interior: boundary policy {policy!r} selected every node")

@@ -72,6 +72,20 @@ def slow_components(g: ds.Graph, s) -> int:
     return count
 
 
+def slow_reattach_boundary(g: ds.Graph, boundary, interior_cut) -> frozenset[int]:
+    """Per-node majority rule: a boundary node joins the cut when more than
+    half of its interior neighbors are in it (ties and no neighbors: out)."""
+    boundary = set(int(v) for v in boundary)
+    cut = set(int(v) for v in interior_cut)
+    joined = set()
+    for v in boundary:
+        interior_nbrs = [int(u) for u in g.neighbors(v) if int(u) not in boundary]
+        inside = sum(1 for u in interior_nbrs if u in cut)
+        if 2 * inside > len(interior_nbrs):
+            joined.add(v)
+    return frozenset(cut | joined)
+
+
 def slow_distance_sums(g: ds.Graph) -> list[int]:
     sums = []
     for src in range(g.node_count):

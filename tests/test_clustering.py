@@ -20,7 +20,14 @@ from dirspec.clustering import (
 from dirspec.errors import DataError, NumericalError
 from dirspec.spectral import build_dirichlet_laplacian, build_normalized_laplacian
 
-from conftest import path_graph, slow_components, slow_edge_boundary, slow_volume
+from conftest import (
+    path_graph,
+    random_graph_suite,
+    slow_components,
+    slow_edge_boundary,
+    slow_reattach_boundary,
+    slow_volume,
+)
 
 
 def _quiet_boundary(g, policy, **kw):
@@ -143,28 +150,146 @@ def test_sweep_identical_rankings_all_tied(two_triangle):
     assert three.c_d == three.c_t == 1
 
 
+def _slow_cheeger_ratio(g, cut):
+    vol = slow_volume(g, cut)
+    return slow_edge_boundary(g, cut) / min(vol, 2 * g.edge_count - vol)
+
+
+def _traditional_ranking(g):
+    e = embed(build_normalized_laplacian(g))
+    centers, assign = two_means(e)
+    return rank_nodes(g, e, centers, assign)
+
+
+def _sweep_cases():
+    """(graph, boundary policy) pairs: a whisker, a grid, seeded random graphs."""
+    cases = [(ds.gen_whisker(12, 5, 3), "degree-one"), (ds.gen_grid(7, 9), "grid-perimeter")]
+    for g in random_graph_suite(6, (9, 14), seed_base=2100):
+        cases.append((g, "degree-one"))
+        if np.count_nonzero(g.degree >= 4) >= 2:  # the interior grid-perimeter leaves
+            cases.append((g, "grid-perimeter"))
+    return cases
+
+
 def test_sweep_rows_internally_consistent():
+    for g, policy in _sweep_cases():
+        b = _quiet_boundary(g, policy)
+        full = sweep(g, b)
+        some = sweep(g, b, sizes=[r.k for r in full.rows[::2]])
+        assert some.rows == full.rows[::2]
+        assert some.dirichlet_cuts == full.dirichlet_cuts[::2]
+        order_t = _traditional_ranking(g)
+        for report in (full, some):
+            # category counts partition the rows, averages recompute exactly
+            assert (
+                report.cat_le_le + report.cat_le_gt + report.cat_gt_le + report.cat_gt_gt
+                == len(report.rows)
+            )
+            assert report.avg_dc == pytest.approx(
+                sum(r.c_d - r.c_t for r in report.rows) / len(report.rows), abs=1e-15
+            )
+            assert report.avg_ht == pytest.approx(
+                sum(r.h_t for r in report.rows) / len(report.rows), abs=1e-15
+            )
+            # both cuts of every row reproduce h and c through independent
+            # routes: the recorded Dirichlet cut, and the k-prefix of the
+            # traditional ranking
+            for row, cut in zip(report.rows, report.dirichlet_cuts):
+                assert len(cut) == row.k
+                assert row.h_d == _slow_cheeger_ratio(g, cut)
+                assert row.c_d == slow_components(g, cut)
+                prefix = [int(v) for v in order_t[: row.k]]
+                assert row.h_t == _slow_cheeger_ratio(g, prefix)
+                assert row.c_t == slow_components(g, prefix)
+
+
+def test_reattach_boundary_matches_slow_majority():
+    cases = [
+        (ds.gen_whisker(10, 4, 3), "degree-one"),
+        (ds.gen_whisker(6, 9, 1), "degree-one"),
+        (ds.gen_grid(6, 7), "grid-perimeter"),
+        *((g, "grid-perimeter") for g in random_graph_suite(8, (9, 14), seed_base=2100)),
+    ]
+    ties = 0
+    for g, policy in cases:
+        b = _quiet_boundary(g, policy)
+        interior = b.interior(g)
+        rng = np.random.default_rng(g.node_count)
+        for order in (interior, rng.permutation(interior)):
+            for j in range(interior.size + 1):
+                prefix = order[:j]
+                assert reattach_boundary(g, b, prefix) == slow_reattach_boundary(
+                    g, b.nodes, prefix
+                )
+                inside = set(int(v) for v in prefix)
+                for v in b.nodes:
+                    nbrs = [int(u) for u in g.neighbors(v) if int(u) not in b.nodes]
+                    if nbrs and 2 * sum(u in inside for u in nbrs) == len(nbrs):
+                        ties += 1
+    assert ties > 0  # the tie rule was exercised, not only clear majorities
+
+
+@pytest.mark.parametrize("bad", [-1, 29, np.array([0, -2]), np.array([3, 29])], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, b, s: ds.volume(g, s),
+        lambda g, b, s: ds.edge_boundary(g, s),
+        lambda g, b, s: ds.components(g, s),
+        lambda g, b, s: ds.cheeger_ratio(g, s),
+        lambda g, b, s: evaluate_cut(g, s, "traditional"),
+        lambda g, b, s: reattach_boundary(g, b, s),
+    ],
+    ids=["volume", "edge_boundary", "components", "cheeger_ratio", "evaluate_cut", "reattach"],
+)
+def test_out_of_range_ids_raise(call, bad):
+    g = ds.gen_whisker(5, 4, 6)  # ids 0..28
+    assert g.node_count == 29
+    b = _quiet_boundary(g, "degree-one")
+    nodes = bad if isinstance(bad, np.ndarray) else [0, bad]
+    # a mask indexed by -1 would silently mark the last node instead
+    with pytest.raises(DataError, match="out of range"):
+        call(g, b, nodes)
+
+
+def test_sweep_evaluate_cut_calls_pin_capture_contract(monkeypatch):
+    """The benchmark's sweep check (perfbench/worker.py::sweep_capture) takes
+    the traditional cuts by wrapping clustering.evaluate_cut, so sweep must
+    call it once per reported row and method, the traditional cut being a
+    prefix view of one ranking (the capture keeps these without copying)."""
     g = ds.gen_whisker(12, 5, 3)
     b = _quiet_boundary(g, "degree-one")
-    report = sweep(g, b)
-    # category counts partition the rows, averages recompute exactly
-    assert (
-        report.cat_le_le + report.cat_le_gt + report.cat_gt_le + report.cat_gt_gt
-        == len(report.rows)
-    )
-    assert report.avg_dc == pytest.approx(
-        sum(r.c_d - r.c_t for r in report.rows) / len(report.rows), abs=1e-15
-    )
-    assert report.avg_ht == pytest.approx(
-        sum(r.h_t for r in report.rows) / len(report.rows), abs=1e-15
-    )
-    # the recorded Dirichlet cuts reproduce h and c through independent routes
-    for row, cut in zip(report.rows, report.dirichlet_cuts):
-        assert len(cut) == row.k
-        vol = slow_volume(g, cut)
-        cut_edges = slow_edge_boundary(g, cut)
-        assert row.h_d == cut_edges / min(vol, 2 * g.edge_count - vol)
-        assert row.c_d == slow_components(g, cut)
+    for sizes in (None, [r.k for r in sweep(g, b).rows[1::3]]):
+        calls = []
+
+        def recorder(graph, nodes, method):
+            calls.append((method, nodes))
+            return evaluate_cut(graph, nodes, method)
+
+        monkeypatch.setattr("dirspec.clustering.evaluate_cut", recorder)
+        report = sweep(g, b, sizes=sizes)
+        monkeypatch.undo()
+        assert [m for m, _ in calls] == ["dirichlet", "traditional"] * len(report.rows)
+        dirichlet, traditional = calls[::2], calls[1::2]
+        assert [frozenset(nodes) for _, nodes in dirichlet] == list(report.dirichlet_cuts)
+        prev: set[int] = set()
+        for row, (_, nodes) in zip(report.rows, traditional):
+            assert isinstance(nodes, np.ndarray) and nodes.base is not None
+            assert np.shares_memory(nodes, traditional[0][1])
+            members = set(int(v) for v in nodes)
+            assert len(nodes) == len(members) == row.k
+            assert prev <= members
+            prev = members
+
+
+def test_sweep_cuts_share_one_int_per_node():
+    # the report keeps every row's cut; members come from the graph's own
+    # int objects rather than fresh copies per cut (ids > 256 are not cached)
+    g = ds.gen_grid(18, 18)
+    report = sweep(g, _quiet_boundary(g, "grid-perimeter"))
+    members = [v for cut in report.dirichlet_cuts for v in cut]
+    assert all(type(v) is int for v in members)
+    assert len({id(v) for v in members}) <= g.node_count < len(members)
 
 
 def test_sweep_cut_sizes_nondecreasing_and_nested():

@@ -105,8 +105,10 @@ def test_components_examples():
 def test_components_matches_slow_reference():
     for g in random_graph_suite(8, (5, 9), seed_base=400):
         rng = np.random.default_rng(g.node_count + 17)
-        members = [int(v) for v in rng.permutation(g.node_count)[:3]]
-        assert ds.components(g, members) == slow_components(g, members)
+        order = [int(v) for v in rng.permutation(g.node_count)]
+        for size in range(1, g.node_count + 1):
+            members = order[:size]
+            assert ds.components(g, members) == slow_components(g, members)
 
 
 def test_one_median_examples():
