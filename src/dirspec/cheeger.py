@@ -11,19 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DataError
-from .graph import (
-    BoundarySpec,
-    Graph,
-    NodeSet,
-    _mask_edge_boundary,
-    _mask_volume,
-    _node_mask,
-    edge_boundary,
-    volume,
-)
+from .graph import BoundarySpec, Graph, NodeSet, edge_boundary, volume
 
 BRUTE_FORCE_CAP = 20
 
@@ -46,16 +35,12 @@ def infinite_tree_cheeger_constant(degree: int) -> int:
 
 def cheeger_ratio(g: Graph, s: NodeSet) -> float:
     """e(S, ~S) / min(vol S, vol ~S) for a nonempty proper subset S."""
-    return _mask_cheeger_ratio(g, _node_mask(g, s, allow_empty=True))
-
-
-def _mask_cheeger_ratio(g: Graph, mask: np.ndarray) -> float:
-    size = int(np.count_nonzero(mask))
+    size = len(set(s))
     if size == 0 or size >= g.node_count:
         raise DataError("cheeger_ratio needs a nonempty proper subset")
-    vol_s = _mask_volume(g, mask)
+    vol_s = volume(g, s)
     vol_rest = 2 * g.edge_count - vol_s
-    return _mask_edge_boundary(g, mask) / min(vol_s, vol_rest)
+    return edge_boundary(g, s) / min(vol_s, vol_rest)
 
 
 def local_cheeger_ratio(g: Graph, b: BoundarySpec, t: NodeSet) -> float:

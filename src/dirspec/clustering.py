@@ -15,16 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cheeger import _mask_cheeger_ratio
+from .cheeger import cheeger_ratio
 from .errors import DataError, NumericalError
-from .graph import (
-    BoundarySpec,
-    Graph,
-    NodeSet,
-    _mask_components,
-    _mask_nodes,
-    _node_mask,
-)
+from .graph import BoundarySpec, Graph, NodeSet, components
 from .spectral import (
     SymmetricMatrix,
     build_dirichlet_laplacian,
@@ -58,18 +51,19 @@ class CutRecord:
 def evaluate_cut(g: Graph, nodes: Iterable[int], method: str) -> CutRecord:
     """Score one cut: its Cheeger ratio and induced component count.
 
-    The node set is turned into one boolean mask over the graph's ids, and
-    size, volume, edge boundary and components are all read from that mask
-    with array operations; duplicate ids count once.  Raises DataError for
-    ids outside the graph and for an empty or full set.
+    The node set goes through one boolean mask over the graph's ids, so a
+    numpy prefix of a ranking becomes the member set without a per-element
+    Python conversion and duplicate ids count once.  ``cheeger_ratio`` and
+    ``components`` each score the members from their own mask, which is
+    linear in the graph.  Raises DataError for ids outside the graph and for
+    an empty or full set.
     """
-    mask = _node_mask(g, nodes, allow_empty=True)
-    members = _mask_nodes(g, mask)
+    members = frozenset(np.flatnonzero(g.node_mask(nodes, allow_empty=True)).tolist())
     return CutRecord(
         size=len(members),
         nodes=members,
-        h=_mask_cheeger_ratio(g, mask),
-        c=_mask_components(g, mask),
+        h=cheeger_ratio(g, members),
+        c=components(g, members),
         method=method,
     )
 
@@ -170,8 +164,8 @@ def reattach_boundary(g: Graph, b: BoundarySpec, interior_cut: Iterable[int]) ->
     Counts both sides of the majority per boundary node with one bincount
     over the edges that join the boundary to the interior.
     """
-    cut = _node_mask(g, interior_cut, allow_empty=True)
-    on_boundary = _node_mask(g, b.nodes, allow_empty=True)
+    cut = g.node_mask(interior_cut, allow_empty=True)
+    on_boundary = g.node_mask(b.nodes, allow_empty=True)
     if (cut & on_boundary).any():
         raise DataError("interior cut contains boundary nodes")
     eu, ev = g.edge_arrays
@@ -181,7 +175,7 @@ def reattach_boundary(g: Graph, b: BoundarySpec, interior_cut: Iterable[int]) ->
     inner = np.where(u_stub, ev, eu)[cross]
     total = np.bincount(stub, minlength=g.node_count)
     inside = np.bincount(stub[cut[inner]], minlength=g.node_count)
-    return _mask_nodes(g, cut | (2 * inside > total))
+    return frozenset(np.flatnonzero(cut | (2 * inside > total)).tolist())
 
 
 def _ranking(g: Graph, m: SymmetricMatrix, tol: float) -> np.ndarray:

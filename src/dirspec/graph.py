@@ -73,12 +73,25 @@ class Graph:
     def label_to_id(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    @cached_property
-    def _id_objects(self) -> np.ndarray:
-        """The ids 0..n-1 as Python ints in an object array.  Node sets built
-        from a mask take their members from here, so the many nested cuts a
-        sweep keeps share one int per node instead of each holding copies."""
-        return np.arange(self.node_count).astype(object)
+    def node_mask(self, s: Iterable[int], allow_empty: bool = False) -> np.ndarray:
+        """Boolean membership mask of a node set over the ids; duplicates collapse.
+
+        Raises DataError for an empty set unless ``allow_empty``, and for ids
+        outside 0..n-1.  Negative ids are checked before indexing, because
+        the mask would otherwise wrap them around to nodes counted from the end.
+        """
+        if isinstance(s, np.ndarray):
+            ids = s.astype(np.int64, copy=False)
+        else:
+            ids = np.fromiter(s, dtype=np.int64)
+        if ids.size == 0:
+            if not allow_empty:
+                raise DataError("empty node set")
+        elif ids.min() < 0 or ids.max() >= self.node_count:
+            raise DataError("node id out of range for this graph")
+        mask = np.zeros(self.node_count, dtype=bool)
+        mask[ids] = True
+        return mask
 
     @cached_property
     def adjacency_matrix(self) -> sp.csr_matrix:
@@ -170,48 +183,30 @@ def build_graph(edge_pairs: Iterable[Sequence[str]]) -> Graph:
     )
 
 
-def _node_mask(g: Graph, s: Iterable[int], allow_empty: bool = False) -> np.ndarray:
-    """Boolean membership mask over the graph's ids; duplicates collapse.
-
-    Ids are range-checked on both sides before indexing, because a negative
-    id would otherwise wrap around to mark a node counted from the end.
-    """
-    if isinstance(s, np.ndarray):
-        ids = s.astype(np.int64, copy=False)
-    else:
-        ids = np.fromiter(s, dtype=np.int64)
-    if ids.size == 0:
-        if not allow_empty:
-            raise DataError("empty node set")
-    elif ids.min() < 0 or ids.max() >= g.node_count:
-        raise DataError("node id out of range for this graph")
-    mask = np.zeros(g.node_count, dtype=bool)
-    mask[ids] = True
-    return mask
+def volume(g: Graph, s: Iterable[int]) -> int:
+    """Sum of degrees over the node set."""
+    return int(g.degree[g.node_mask(s)].sum())
 
 
-def _mask_nodes(g: Graph, mask: np.ndarray) -> NodeSet:
-    return frozenset(g._id_objects[mask].tolist())
-
-
-def _mask_volume(g: Graph, mask: np.ndarray) -> int:
-    return int(g.degree[mask].sum())
-
-
-def _mask_edge_boundary(g: Graph, mask: np.ndarray) -> int:
+def edge_boundary(g: Graph, s: Iterable[int]) -> int:
+    """Number of edges with exactly one endpoint in the node set."""
+    mask = g.node_mask(s, allow_empty=True)
     eu, ev = g.edge_arrays
     return int(np.count_nonzero(mask[eu] != mask[ev]))
 
 
-def _mask_components(g: Graph, mask: np.ndarray) -> int:
-    """Components of the subgraph induced by the mask.
+def components(g: Graph, s: Iterable[int]) -> int:
+    """Number of connected components of the subgraph induced by the node set.
 
-    Counted on the adjacency entries with both endpoints in the mask.  That
-    matrix is symmetric, so its strong components are the undirected ones,
-    and scipy builds no transpose for them.  Every node outside the mask is
-    a singleton there and is subtracted.  Float data and the adjacency's own
-    index dtype spare scipy a conversion copy per call.
+    Counted on the adjacency entries with both endpoints in the set, kept at
+    their places in the whole graph, so the cost is linear in the graph and
+    no re-indexed submatrix is built.  That matrix is symmetric, so its
+    strong components are the undirected ones and scipy builds no transpose
+    for them.  Every node outside the set is a singleton there and is
+    subtracted.  Float data and the adjacency's own index dtype spare scipy a
+    conversion copy per call.
     """
+    mask = g.node_mask(s)
     a = g.adjacency_matrix
     keep = np.repeat(mask, g.degree) & mask[a.indices]
     indptr = np.zeros(keep.size + 1, dtype=a.indptr.dtype)
@@ -221,26 +216,6 @@ def _mask_components(g: Graph, mask: np.ndarray) -> int:
     )
     count = csgraph.connected_components(sub, directed=True, connection="strong")[0]
     return int(count) - (g.node_count - int(np.count_nonzero(mask)))
-
-
-def volume(g: Graph, s: Iterable[int]) -> int:
-    """Sum of degrees over the node set."""
-    return _mask_volume(g, _node_mask(g, s))
-
-
-def edge_boundary(g: Graph, s: Iterable[int]) -> int:
-    """Number of edges with exactly one endpoint in the node set."""
-    return _mask_edge_boundary(g, _node_mask(g, s, allow_empty=True))
-
-
-def components(g: Graph, s: Iterable[int]) -> int:
-    """Number of connected components of the subgraph induced by the node set.
-
-    Scored on a boolean mask of the set over the whole graph (see
-    ``_mask_components``), so the cost is linear in the graph, with no
-    re-indexed submatrix.
-    """
-    return _mask_components(g, _node_mask(g, s))
 
 
 def is_connected(g: Graph) -> bool:
@@ -303,7 +278,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
 
     Nodes with no surviving edge are dropped (Graph cannot hold isolated nodes).
     """
-    inset = _node_mask(g, nodes)
+    inset = g.node_mask(nodes)
     pairs = [
         (g.labels[u], g.labels[v])
         for u in np.flatnonzero(inset)
@@ -373,7 +348,7 @@ def resolve_boundary(
     elif policy == "radius-cut":
         if parent is None or parent_nodes is None:
             raise DataError("radius-cut boundary requires the parent graph and node set")
-        inset = _node_mask(parent, parent_nodes)
+        inset = parent.node_mask(parent_nodes)
         picked = []
         for i, lab in enumerate(g.labels):
             p = parent.label_to_id.get(lab)
@@ -385,7 +360,7 @@ def resolve_boundary(
     else:  # explicit-list
         if explicit is None:
             raise DataError("explicit-list boundary requires the node ids")
-        nodes = _mask_nodes(g, _node_mask(g, explicit, allow_empty=True))
+        nodes = frozenset(np.flatnonzero(g.node_mask(explicit, allow_empty=True)).tolist())
 
     if len(nodes) == g.node_count:
         raise DataError(f"no interior: boundary policy {policy!r} selected every node")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import warnings
 
 import numpy as np
@@ -282,14 +283,33 @@ def test_sweep_evaluate_cut_calls_pin_capture_contract(monkeypatch):
             prev = members
 
 
-def test_sweep_cuts_share_one_int_per_node():
-    # the report keeps every row's cut; members come from the graph's own
-    # int objects rather than fresh copies per cut (ids > 256 are not cached)
-    g = ds.gen_grid(18, 18)
-    report = sweep(g, _quiet_boundary(g, "grid-perimeter"))
-    members = [v for cut in report.dirichlet_cuts for v in cut]
-    assert all(type(v) is int for v in members)
-    assert len({id(v) for v in members}) <= g.node_count < len(members)
+def test_evaluate_cut_scores_through_public_primitives(monkeypatch):
+    """The benchmark's layer trace (perfbench/layers.py) times cut scoring by
+    wrapping public functions where each module binds them, so evaluate_cut
+    must reach cheeger_ratio and components through clustering's imports,
+    and cheeger_ratio must reach volume and edge_boundary through cheeger's."""
+    g = ds.gen_whisker(6, 4, 2)
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, frozenset(int(v) for v in args[1])))
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    clustering = importlib.import_module("dirspec.clustering")
+    cheeger = importlib.import_module("dirspec.cheeger")
+    spy(clustering, "cheeger_ratio")
+    spy(clustering, "components")
+    spy(cheeger, "volume")
+    spy(cheeger, "edge_boundary")
+    rec = evaluate_cut(g, np.array([3, 1, 2, 3]), "traditional")
+    names = ["cheeger_ratio", "volume", "edge_boundary", "components"]
+    assert calls == [(name, frozenset({1, 2, 3})) for name in names]
+    assert rec.nodes == frozenset({1, 2, 3})
 
 
 def test_sweep_cut_sizes_nondecreasing_and_nested():
