@@ -119,6 +119,8 @@ def cmd_gap(args) -> int:
 def cmd_tree_converge(args) -> int:
     if args.degree < 3:
         raise UsageError("tree-converge requires --degree >= 3")
+    if args.max_levels < 1:
+        raise UsageError("tree-converge requires --max-levels >= 1")
     rows = []
     for levels in range(1, args.max_levels + 1):
         analytic = dirichlet_gap_analytic(args.degree, levels)

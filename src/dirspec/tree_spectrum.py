@@ -13,6 +13,14 @@ The depth-symmetric family takes the L+1 roots of
 (the pole-free cross-multiplied form of tan(a)/tan((L+1)a) = -(d-2)/d), and
 the sector families, supported below a level-k node, take a = j*pi/(L+1-k).
 This module serves as an independent oracle for the numerical eigensolver.
+
+The gap needs only the smallest root, and with m = L+1 it is the one root on
+(pi/(2m), pi/m). The condition is (d-2) cos(pi/(2m)) > 0 at the left end and
+-d sin(pi/m) < 0 at the right end. Between them tan(a) > 0 and tan(ma) < 0,
+and tan(a)/tan(ma) falls strictly from 0 to -inf (the numerator rises, the
+negative denominator rises from -inf toward 0), so it meets -(d-2)/d exactly
+once. On (0, pi/(2m)] the condition's first term is non-negative and its
+second positive, so no smaller root exists.
 """
 
 from __future__ import annotations
@@ -56,11 +64,44 @@ def _check_family_args(degree: int, levels: int) -> None:
         raise DataError("levels must be >= 1")
 
 
+def _refine_root(degree: int, levels: int, lo: float, hi: float, flo: float) -> float:
+    """Bisect a sign change of the condition on [lo, hi] to adjacent floats.
+
+    flo is the condition's value at lo. One Newton step then drives the
+    residual to the rounding floor; a step wider than the bracket is dropped.
+    """
+    width = hi - lo
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = _eig_condition(degree, levels, mid)
+        if fm == 0.0:
+            return mid
+        if flo * fm < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    root = 0.5 * (lo + hi)
+    d1 = _eig_condition_deriv(degree, levels, root)
+    if d1 != 0.0:
+        step = _eig_condition(degree, levels, root) / d1
+        if abs(step) < width:
+            root -= step
+    return root
+
+
+def _check_residual(degree: int, levels: int, roots) -> None:
+    bad = max(abs(_eig_condition(degree, levels, r)) for r in roots)
+    if bad > ROOT_RESIDUAL_TOL:
+        raise NumericalError(f"root residual {bad:.3e} exceeds {ROOT_RESIDUAL_TOL:.0e}")
+
+
 def symmetric_family_roots(degree: int, levels: int) -> np.ndarray:
     """All levels+1 angle roots of the eigenvalue condition on (0, pi).
 
-    Sign changes are bracketed on a uniform grid and bisected, then polished
-    with a Newton step; exactly levels+1 roots must emerge.
+    Sign changes are bracketed on a uniform grid and each is refined by
+    bisection and one Newton step; exactly levels+1 roots must emerge.
     """
     _check_family_args(degree, levels)
     m = levels + 1
@@ -73,31 +114,8 @@ def symmetric_family_roots(degree: int, levels: int) -> np.ndarray:
         f0, f1 = fs[i], fs[i + 1]
         if f0 == 0.0:
             roots.append(float(xs[i]))
-            continue
-        if f0 * f1 >= 0.0:
-            continue
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        flo = f0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            fm = _eig_condition(degree, levels, mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        root = 0.5 * (lo + hi)
-        # one Newton step drives the residual to the rounding floor
-        d1 = _eig_condition_deriv(degree, levels, root)
-        if d1 != 0.0:
-            step = _eig_condition(degree, levels, root) / d1
-            if abs(step) < math.pi / n_grid:
-                root -= step
-        roots.append(root)
+        elif f0 * f1 < 0.0:
+            roots.append(_refine_root(degree, levels, float(xs[i]), float(xs[i + 1]), f0))
     if fs[-1] == 0.0:
         roots.append(float(xs[-1]))
 
@@ -106,9 +124,7 @@ def symmetric_family_roots(degree: int, levels: int) -> np.ndarray:
             f"root bracketing failed: expected {m} roots, found {len(roots)} "
             f"(degree={degree}, levels={levels})"
         )
-    bad = max(abs(_eig_condition(degree, levels, r)) for r in roots)
-    if bad > ROOT_RESIDUAL_TOL:
-        raise NumericalError(f"root residual {bad:.3e} exceeds {ROOT_RESIDUAL_TOL:.0e}")
+    _check_residual(degree, levels, roots)
     return np.array(roots)
 
 
@@ -117,9 +133,27 @@ def eigenvalue_from_angle(degree: int, a: float) -> float:
 
 
 def dirichlet_gap_analytic(degree: int, levels: int) -> float:
-    """Smallest boundary-conditioned eigenvalue of the finite regular tree."""
-    roots = symmetric_family_roots(degree, levels)
-    return eigenvalue_from_angle(degree, float(roots[0]))
+    """Smallest boundary-conditioned eigenvalue of the finite regular tree.
+
+    Solves only the smallest root of the condition, on (pi/(2m), pi/m) with
+    m = levels+1: the condition is (d-2) cos(pi/(2m)) > 0 at the left end and
+    -d sin(pi/m) < 0 at the right end, and tan(a)/tan(ma) is strictly
+    monotone in between, so the bracket holds exactly one root (see the
+    module docstring). Ends without opposite signs raise NumericalError.
+    """
+    _check_family_args(degree, levels)
+    m = levels + 1
+    lo, hi = math.pi / (2 * m), math.pi / m
+    flo = _eig_condition(degree, levels, lo)
+    fhi = _eig_condition(degree, levels, hi)
+    if not (flo > 0.0 > fhi):
+        raise NumericalError(
+            f"smallest-root bracket has no sign change: condition {flo:.3e} at "
+            f"pi/(2m), {fhi:.3e} at pi/m (degree={degree}, levels={levels})"
+        )
+    root = _refine_root(degree, levels, lo, hi, flo)
+    _check_residual(degree, levels, [root])
+    return eigenvalue_from_angle(degree, root)
 
 
 def sector_family_eigenvalues(degree: int, levels: int) -> list[tuple[float, int]]:

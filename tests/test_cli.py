@@ -133,6 +133,34 @@ def test_tree_converge_numeric_column_cutoff(tmp_path):
     assert not all(present) and any(present)
 
 
+def test_tree_converge_large_depth(tmp_path):
+    # the smallest root's residual stays at the rounding floor at depth 1000,
+    # where the full family's largest roots exceed the 1e-12 guard
+    rc = main(
+        ["tree-converge", "--degree", "8", "--max-levels", "1000", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "tree_converge.csv")
+    assert [int(r[0]) for r in rows] == list(range(1, 1001))
+    analytic = [float(r[1]) for r in rows]
+    assert all(b <= a for a, b in zip(analytic, analytic[1:]))
+    assert analytic[-1] > ds.infinite_tree_gap(8)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--degree", "2", "--max-levels", "5"],
+        ["--degree", "3", "--max-levels", "0"],
+        ["--degree", "3", "--max-levels", "-2"],
+    ],
+)
+def test_tree_converge_usage_errors(tmp_path, capsys, flags):
+    assert main(["tree-converge", *flags, "--out", str(tmp_path)]) == 1
+    assert "usage error: tree-converge requires" in capsys.readouterr().err
+    assert not (tmp_path / "tree_converge.csv").exists()
+
+
 def test_grow_command_grid(tmp_path):
     rc = main(["grow", "--gen", "grid:15x15", "--out", str(tmp_path)])
     assert rc == 0

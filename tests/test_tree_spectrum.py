@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 import dirspec as ds
-from dirspec.errors import DataError
+from dirspec.errors import DataError, NumericalError
 from dirspec.spectral import build_dirichlet_laplacian, smallest_eigenpairs
 from dirspec.tree_spectrum import _eig_condition, eigenvalue_from_angle
 
@@ -39,10 +40,11 @@ def test_symmetric_roots_count_and_residual():
 
 
 def test_symmetric_roots_validation():
-    with pytest.raises(DataError):
-        ds.symmetric_family_roots(2, 3)
-    with pytest.raises(DataError):
-        ds.symmetric_family_roots(3, 0)
+    for solve in (ds.symmetric_family_roots, ds.dirichlet_gap_analytic):
+        with pytest.raises(DataError):
+            solve(2, 3)
+        with pytest.raises(DataError):
+            solve(3, 0)
 
 
 def test_smallest_angle_decreases_with_depth():
@@ -57,6 +59,33 @@ def test_gap_analytic_matches_numeric_small_tree():
     tree = ds.gen_tree(3, 2)
     numeric = ds.dirichlet_gap(tree, ds.resolve_boundary(tree, "leaves"))
     assert gap == pytest.approx(numeric, abs=1e-10)
+
+
+def test_gap_analytic_is_smallest_family_root():
+    # the one-root bracket solve gives the full-family solve's first root, bit for bit
+    for degree in (3, 4, 5):
+        for levels in range(1, 201):
+            smallest = ds.symmetric_family_roots(degree, levels)[0]
+            assert ds.dirichlet_gap_analytic(degree, levels) == eigenvalue_from_angle(
+                degree, smallest
+            ), (degree, levels)
+
+
+def test_smallest_root_bracket_signs():
+    for degree in range(3, 11):
+        for levels in [*range(1, 51), 200, 1000, 5000]:
+            m = levels + 1
+            assert _eig_condition(degree, levels, math.pi / (2 * m)) > 0, (degree, levels)
+            assert _eig_condition(degree, levels, math.pi / m) < 0, (degree, levels)
+
+
+@pytest.mark.parametrize("value", [1.0, -1.0])
+def test_gap_analytic_bracket_without_sign_change_raises(monkeypatch, value):
+    # the package attribute dirspec.tree_spectrum is the function, not the module
+    module = importlib.import_module("dirspec.tree_spectrum")
+    monkeypatch.setattr(module, "_eig_condition", lambda degree, levels, a: value)
+    with pytest.raises(NumericalError, match="no sign change"):
+        ds.dirichlet_gap_analytic(3, 10)
 
 
 def test_gap_analytic_monotone_and_above_infinite():
