@@ -10,7 +10,6 @@ from .cheeger import (
     brute_force_cheeger_constant,
     brute_force_local_cheeger_constant,
     cheeger_ratio,
-    infinite_tree_cheeger_constant,
     local_cheeger_ratio,
 )
 from .clustering import (
@@ -18,7 +17,6 @@ from .clustering import (
     Embedding,
     SweepReport,
     SweepRow,
-    compare_report,
     embed,
     evaluate_cut,
     rank_nodes,
@@ -32,11 +30,9 @@ from .graph import (
     CleaningReport,
     Graph,
     NodeSet,
-    ball,
     build_graph,
     components,
     edge_boundary,
-    eccentricity,
     induced_subgraph,
     is_connected,
     largest_component,

@@ -26,13 +26,6 @@ class CheegerReport:
     kind: str  # global-ratio | global-constant | local-ratio | local-constant
 
 
-def infinite_tree_cheeger_constant(degree: int) -> int:
-    """Analytic Cheeger constant of the infinite regular tree; recorded, not computed."""
-    if degree < 2:
-        raise DataError("tree degree must be >= 2")
-    return degree - 2
-
-
 def cheeger_ratio(g: Graph, s: NodeSet) -> float:
     """e(S, ~S) / min(vol S, vol ~S) for a nonempty proper subset S."""
     size = len(set(s))

@@ -18,12 +18,13 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import clustering, ingest
 from .errors import DataError, DirspecError, NumericalError
 from .graph import (
     Graph,
-    ball,
-    eccentricity,
+    distances_from,
     induced_subgraph,
     is_connected,
     largest_component,
@@ -138,10 +139,10 @@ def cmd_tree_converge(args) -> int:
 def cmd_grow(args) -> int:
     src = args.input[0] if args.input else None
     g = _load_graph(args, src)
-    center = one_median(g)
+    dist = distances_from(g, one_median(g))
     rows = []
-    for radius in range(1, eccentricity(g, center) + 1):
-        members = ball(g, center, radius)
+    for radius in range(1, int(dist.max()) + 1):
+        members = np.flatnonzero(dist <= radius)
         sub = induced_subgraph(g, members)
         trad = diri = None
         try:

@@ -157,23 +157,46 @@ def rank_nodes(
     return emb.node_ids[order]
 
 
+def _boundary_edges(
+    g: Graph, b: BoundarySpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary mask; boundary end and interior end of every edge joining the
+    boundary to the interior; per node, the count of such edges at its
+    boundary end.
+
+    Kept on the spec for the last graph it was used with, so a sweep, which
+    reattaches once per row on one graph, selects these edges once.
+    """
+    memo = b.__dict__.get("_edges")
+    if memo is None or memo[0] is not g:
+        on_boundary = g.node_mask(b.nodes, allow_empty=True)
+        eu, ev = g.edge_arrays
+        u_stub = on_boundary[eu]
+        cross = u_stub != on_boundary[ev]
+        stub = np.where(u_stub, eu, ev)[cross]
+        memo = (
+            g,
+            on_boundary,
+            stub,
+            np.where(u_stub, ev, eu)[cross],
+            np.bincount(stub, minlength=g.node_count),
+        )
+        object.__setattr__(b, "_edges", memo)  # BoundarySpec is frozen
+    return memo[1:]
+
+
 def reattach_boundary(g: Graph, b: BoundarySpec, interior_cut: Iterable[int]) -> NodeSet:
     """Pull each boundary node into the cut when most of its interior
     neighbors are inside; exact ties and neighbor-less nodes stay outside.
 
     Counts both sides of the majority per boundary node with one bincount
-    over the edges that join the boundary to the interior.
+    over the edges that join the boundary to the interior; those edges are
+    selected once per graph and boundary.
     """
     cut = g.node_mask(interior_cut, allow_empty=True)
-    on_boundary = g.node_mask(b.nodes, allow_empty=True)
+    on_boundary, stub, inner, total = _boundary_edges(g, b)
     if (cut & on_boundary).any():
         raise DataError("interior cut contains boundary nodes")
-    eu, ev = g.edge_arrays
-    u_stub = on_boundary[eu]
-    cross = u_stub != on_boundary[ev]
-    stub = np.where(u_stub, eu, ev)[cross]
-    inner = np.where(u_stub, ev, eu)[cross]
-    total = np.bincount(stub, minlength=g.node_count)
     inside = np.bincount(stub[cut[inner]], minlength=g.node_count)
     return frozenset(np.flatnonzero(cut | (2 * inside > total)).tolist())
 
@@ -287,10 +310,3 @@ def aggregate_row(report: SweepReport) -> tuple:
         report.avg_ht,
     )
 
-
-def compare_report(report: SweepReport) -> tuple[list[tuple], tuple]:
-    """Per-size scatter rows (k, h_D - h_T, c_D - c_T) plus the aggregate row."""
-    if not report.rows:
-        raise DataError("empty sweep report")
-    scatter = [(r.k, r.h_d - r.h_t, r.c_d - r.c_t) for r in report.rows]
-    return scatter, aggregate_row(report)

@@ -29,6 +29,8 @@ BOUNDARY_POLICIES = (
     "explicit-list",
 )
 
+MEDIAN_BLOCK = 256  # sources per BFS block of one_median
+
 
 @dataclass(frozen=True)
 class CleaningReport:
@@ -68,10 +70,6 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    @cached_property
-    def label_to_id(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
     def node_mask(self, s: Iterable[int], allow_empty: bool = False) -> np.ndarray:
         """Boolean membership mask of a node set over the ids; duplicates collapse.
@@ -231,63 +229,123 @@ def distances_from(g: Graph, source: int) -> np.ndarray:
     )
 
 
+def _pruned_distance_sums(g: Graph, sources: np.ndarray, best: float) -> np.ndarray:
+    """Total hop distance from each source to all nodes, or inf where pruned.
+
+    One level-synchronous BFS serves every source: row i of the frontier
+    matrix holds the nodes that source i reached at the last level, and the
+    sparse product ``frontier @ A``, less the nodes already seen, is the next
+    level.  A source stops once its lower bound (see :func:`one_median`)
+    exceeds ``best`` strictly; ``best`` falls to each exact total found on
+    the way.  Raises DataError when a level adds no node to a source that
+    has not reached all n.
+    """
+    n = g.node_count
+    a = g.adjacency_matrix
+    block = np.arange(sources.size)
+    seen = np.zeros((sources.size, n), dtype=bool)
+    seen[block, sources] = True
+    reached = np.ones(sources.size, dtype=np.int64)
+    partial = np.zeros(sources.size, dtype=np.int64)
+    sums = np.full(sources.size, np.inf)
+    active = np.ones(sources.size, dtype=bool)
+    owner, nodes = block, sources
+    level = 0
+    while active.any():
+        # owner stays ascending, so its counts are the frontier's row pointers;
+        # int32 data: an int8 product could wrap to 0 and lose the entry
+        indptr = np.zeros(sources.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=sources.size), out=indptr[1:])
+        frontier = sp.csr_matrix(
+            (np.ones(nodes.size, dtype=np.int32), nodes, indptr), shape=(sources.size, n)
+        )
+        reach = frontier @ a
+        level += 1
+        owner = np.repeat(block, np.diff(reach.indptr))
+        new = ~seen.ravel()[owner * n + reach.indices]
+        owner, nodes = owner[new], reach.indices[new]
+        seen[owner, nodes] = True
+        count = np.bincount(owner, minlength=sources.size)
+        if (count[active] == 0).any():
+            raise DataError("one_median requires a connected graph")
+        reached += count
+        partial += level * count
+        done = active & (reached == n)
+        if done.any():
+            sums[done] = partial[done]
+            best = min(best, float(partial[done].min()))
+            active &= ~done
+        active &= partial + (level + 1) * (n - reached) <= best
+        keep = active[owner]
+        owner, nodes = owner[keep], nodes[keep]
+    return sums
+
+
 def one_median(g: Graph) -> int:
     """Node minimizing total hop distance to all nodes; ties go to the smallest id.
 
     Used as the deterministic stand-in for a network's center of mass.
+
+    Exact, with pruning (top-1 closeness after Olsen-Labouseur-Hwang, ICDE
+    2014, and Bergamini et al., ALENEX 2016).  A BFS from the highest-degree
+    node gives a first upper bound ``best`` on the minimum; then sources run
+    in blocks of MEDIAN_BLOCK, all of a block's BFS levels at once.  After
+    level l a source that has reached r of the n nodes with partial distance
+    sum P has total at least P + (l + 1)(n - r), since every node not yet
+    reached is at least l + 1 hops away.  A source is dropped only when that
+    bound is strictly greater than ``best``, which is always some node's
+    exact total and so never below the minimum.  Every minimizer's bound
+    stays at or below its own total, the minimum, so every minimizer runs to
+    the end with its exact total, and the smallest such id wins.
+    Raises DataError for a disconnected graph.
     """
     n = g.node_count
+    hub = np.array([int(np.argmax(g.degree))])
+    best = float(_pruned_distance_sums(g, hub, np.inf)[0])
     sums = np.empty(n)
-    chunk = 1024
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
-        dist = csgraph.dijkstra(
-            g.adjacency_matrix, directed=False, indices=idx, unweighted=True
-        )
-        if np.isinf(dist).any():
-            raise DataError("one_median requires a connected graph")
-        sums[idx] = dist.sum(axis=1)
+    for start in range(0, n, MEDIAN_BLOCK):
+        sources = np.arange(start, min(start + MEDIAN_BLOCK, n))
+        sums[sources] = _pruned_distance_sums(g, sources, best)
+        best = min(best, float(sums[sources].min()))
     return int(np.argmin(sums))
 
 
-def eccentricity(g: Graph, v: int) -> int:
-    dist = distances_from(g, v)
-    if np.isinf(dist).any():
-        raise DataError("eccentricity requires a connected graph")
-    return int(dist.max())
+def _first_seen(g: Graph, inset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parent ids of the subgraph induced by a node mask, in subgraph id order,
+    and its edges as (m_sub, 2) rows of subgraph ids.
 
-
-def ball(g: Graph, center: int, radius: int) -> NodeSet:
-    """All nodes within the given hop distance of the center (BFS ball)."""
-    if radius < 0:
-        raise DataError("radius must be >= 0")
-    if not 0 <= center < g.node_count:
-        raise DataError("node id out of range for this graph")
-    dist = csgraph.dijkstra(
-        g.adjacency_matrix,
-        directed=False,
-        indices=center,
-        unweighted=True,
-        limit=float(radius),
-    )
-    return frozenset(int(i) for i in np.flatnonzero(dist <= radius))
+    The kept entries of ``edge_arrays`` run u ascending, then v, which is
+    the label-pair stream ``build_graph`` would read for this subgraph, so
+    first appearance in u0, v0, u1, v1, ... gives its ids.  Nodes with no
+    edge inside the mask drop out.
+    """
+    eu, ev = g.edge_arrays
+    keep = inset[eu] & inset[ev]
+    if not keep.any():
+        raise DataError("induced subgraph has no edges")
+    stream = np.column_stack((eu[keep], ev[keep])).ravel()
+    ids, first, inverse = np.unique(stream, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    sub_id = np.empty_like(order)
+    sub_id[order] = np.arange(order.size)
+    return ids[order], sub_id[inverse].reshape(-1, 2)
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
-    """Subgraph induced by the node set; labels are preserved, ids are re-densified.
+    """Subgraph induced by the node set; labels are preserved, ids are re-densified
+    in first-seen order, exactly as ``build_graph`` would assign them from the
+    subgraph's edges listed by (u, v), u < v, ascending.
 
     Nodes with no surviving edge are dropped (Graph cannot hold isolated nodes).
     """
-    inset = g.node_mask(nodes)
-    pairs = [
-        (g.labels[u], g.labels[v])
-        for u in np.flatnonzero(inset)
-        for v in g.neighbors(u)
-        if v > u and inset[v]
-    ]
-    if not pairs:
-        raise DataError("induced subgraph has no edges")
-    return build_graph(pairs)
+    parent_ids, edges = _first_seen(g, g.node_mask(nodes))
+    k = parent_ids.size
+    rows = np.concatenate((edges[:, 0], edges[:, 1]))
+    cols = np.concatenate((edges[:, 1], edges[:, 0]))
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
+    labels = tuple(map(g.labels.__getitem__, parent_ids.tolist()))
+    return Graph(labels, indptr, cols[np.lexsort((cols, rows))].astype(np.int64))
 
 
 def largest_component(g: Graph) -> Graph:
@@ -296,8 +354,7 @@ def largest_component(g: Graph) -> Graph:
     if n_comp == 1:
         return g
     counts = np.bincount(labels)
-    keep = np.flatnonzero(labels == int(np.argmax(counts)))
-    return induced_subgraph(g, keep)
+    return induced_subgraph(g, np.flatnonzero(labels == int(np.argmax(counts))))
 
 
 @dataclass(frozen=True)
@@ -309,10 +366,7 @@ class BoundarySpec:
 
     def interior(self, g: Graph) -> np.ndarray:
         """Ascending ids of the non-boundary nodes."""
-        mask = np.ones(g.node_count, dtype=bool)
-        for v in self.nodes:
-            mask[v] = False
-        return np.flatnonzero(mask)
+        return np.flatnonzero(~g.node_mask(self.nodes, allow_empty=True))
 
 
 def resolve_boundary(
@@ -329,9 +383,9 @@ def resolve_boundary(
       degree-one      nodes of degree 1 (stubs that presumably continue outside)
       leaves          alias of degree-one, for trees
       grid-perimeter  nodes of degree < 4 in a 4-neighbor lattice
-      radius-cut      for a subgraph of ``parent`` induced by ``parent_nodes``:
-                      nodes with a parent edge leaving the set, plus nodes of
-                      parent degree 1
+      radius-cut      for ``induced_subgraph(parent, parent_nodes)``: nodes with
+                      a parent edge leaving the set, plus nodes of parent
+                      degree 1, found on parent ids
       explicit-list   the given ids, validated
 
     A boundary covering every node is an error ("no interior"); an empty
@@ -349,14 +403,15 @@ def resolve_boundary(
         if parent is None or parent_nodes is None:
             raise DataError("radius-cut boundary requires the parent graph and node set")
         inset = parent.node_mask(parent_nodes)
-        picked = []
-        for i, lab in enumerate(g.labels):
-            p = parent.label_to_id.get(lab)
-            if p is None:
-                raise DataError(f"subgraph label {lab!r} not found in parent graph")
-            if parent.degree[p] == 1 or not inset[parent.neighbors(p)].all():
-                picked.append(i)
-        nodes = frozenset(picked)
+        parent_ids, _ = _first_seen(parent, inset)
+        if tuple(map(parent.labels.__getitem__, parent_ids.tolist())) != g.labels:
+            raise DataError("radius-cut needs the subgraph of parent induced by parent_nodes")
+        eu, ev = parent.edge_arrays
+        cross = inset[eu] != inset[ev]
+        picked = parent.degree == 1
+        picked[eu[cross]] = True
+        picked[ev[cross]] = True
+        nodes = frozenset(np.flatnonzero(picked[parent_ids]).tolist())
     else:  # explicit-list
         if explicit is None:
             raise DataError("explicit-list boundary requires the node ids")

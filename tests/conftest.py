@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.sparse import csgraph
 
 import dirspec as ds
+from dirspec.errors import DirspecError
 
 
 @pytest.fixture
@@ -86,21 +88,110 @@ def slow_reattach_boundary(g: ds.Graph, boundary, interior_cut) -> frozenset[int
     return frozenset(cut | joined)
 
 
+def slow_distances(g: ds.Graph, src: int) -> dict[int, int]:
+    """Hop distance to every node reachable from src, by BFS over Python sets."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u):
+            v = int(v)
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def slow_distance_sums(g: ds.Graph) -> list[int]:
     sums = []
     for src in range(g.node_count):
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                v = int(v)
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
+        dist = slow_distances(g, src)
         assert len(dist) == g.node_count, "disconnected graph in slow_distance_sums"
         sums.append(sum(dist.values()))
     return sums
+
+
+def slow_eccentricity(g: ds.Graph, v: int) -> int:
+    dist = slow_distances(g, v)
+    assert len(dist) == g.node_count, "disconnected graph in slow_eccentricity"
+    return max(dist.values())
+
+
+def slow_ball(g: ds.Graph, center: int, radius: int) -> frozenset[int]:
+    """Nodes within the hop radius of the center, by Dijkstra stopped at the radius."""
+    dist = csgraph.dijkstra(
+        g.adjacency_matrix,
+        directed=False,
+        indices=center,
+        unweighted=True,
+        limit=float(radius),
+    )
+    return frozenset(int(i) for i in np.flatnonzero(dist <= radius))
+
+
+def slow_induced_subgraph(g: ds.Graph, nodes) -> ds.Graph:
+    """Induced subgraph by a label round trip through ``build_graph``."""
+    inset = g.node_mask(nodes)
+    pairs = [
+        (g.labels[u], g.labels[v])
+        for u in np.flatnonzero(inset)
+        for v in g.neighbors(u)
+        if v > u and inset[v]
+    ]
+    return ds.build_graph(pairs)
+
+
+def slow_radius_cut(sub: ds.Graph, parent: ds.Graph, members) -> frozenset[int]:
+    """Subgraph nodes whose parent node has degree 1 or a neighbor outside
+    ``members``, matched to the parent by label."""
+    parent_id = {lab: i for i, lab in enumerate(parent.labels)}
+    inset = set(int(v) for v in members)
+    picked = set()
+    for i, lab in enumerate(sub.labels):
+        p = parent_id[lab]
+        if parent.degree[p] == 1 or any(int(v) not in inset for v in parent.neighbors(p)):
+            picked.add(i)
+    return frozenset(picked)
+
+
+def slow_grow_rows(g: ds.Graph, tol: float = 1e-8) -> list[tuple]:
+    """``grow`` rows composed from the slow references: the 1-median by
+    argmin of ``slow_distance_sums``, balls by ``slow_ball``, label round-trip
+    subgraphs and the label-based radius cut."""
+    sums = slow_distance_sums(g)
+    center = sums.index(min(sums))
+    rows = []
+    for radius in range(1, slow_eccentricity(g, center) + 1):
+        members = slow_ball(g, center, radius)
+        sub = slow_induced_subgraph(g, members)
+        trad = diri = None
+        try:
+            trad = ds.spectral_gap(sub, tol=tol)
+        except DirspecError:
+            pass
+        nodes = slow_radius_cut(sub, g, members)
+        if len(nodes) < sub.node_count:  # else "no interior"
+            try:
+                diri = ds.dirichlet_gap(sub, ds.BoundarySpec("radius-cut", nodes), tol=tol)
+            except DirspecError:
+                pass
+        rows.append((radius, sub.node_count, trad, diri))
+    return rows
+
+
+def isp_like_graph(n: int, seed: int) -> ds.Graph:
+    """Preferential-attachment map: each new router links to one or two
+    earlier routers drawn by degree, so a few hubs and many stubs appear."""
+    rng = np.random.default_rng(seed)
+    ends = [0, 1]
+    edges = [("r0", "r1")]
+    for v in range(2, n):
+        links = 1 + int(rng.random() < 0.4)
+        targets = {ends[int(rng.integers(len(ends)))] for _ in range(links)}
+        for u in sorted(targets):
+            edges.append((f"r{u}", f"r{v}"))
+            ends += [u, v]
+    return ds.build_graph(edges)
 
 
 def slow_cheeger_constant(g: ds.Graph) -> tuple[Fraction, tuple[int, ...]]:

@@ -10,7 +10,6 @@ import dirspec as ds
 from dirspec.cheeger import (
     brute_force_cheeger_constant,
     brute_force_local_cheeger_constant,
-    infinite_tree_cheeger_constant,
 )
 from dirspec.errors import DataError
 
@@ -169,11 +168,3 @@ def test_local_cheeger_inequality_small_graphs():
         assert h_local >= lam - 1e-9
         assert lam >= h_local * h_local / 2 - 1e-9
         checked += 1
-
-
-def test_infinite_tree_constant():
-    assert infinite_tree_cheeger_constant(3) == 1
-    assert infinite_tree_cheeger_constant(4) == 2
-    assert infinite_tree_cheeger_constant(2) == 0
-    with pytest.raises(DataError):
-        infinite_tree_cheeger_constant(1)

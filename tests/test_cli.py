@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 
 import dirspec as ds
+import dirspec.cli as cli
 from dirspec.cli import main, parse_generator_spec
+
+from conftest import slow_eccentricity, slow_grow_rows
 
 
 def read_csv(path):
@@ -167,9 +171,24 @@ def test_grow_command_grid(tmp_path):
     header, rows = read_csv(tmp_path / "grow.csv")
     assert header == ["r", "n_sub", "traditional_gap", "dirichlet_gap"]
     g = ds.gen_grid(15, 15)
-    assert len(rows) == ds.eccentricity(g, ds.one_median(g)) == 14
+    assert len(rows) == slow_eccentricity(g, ds.one_median(g)) == 14
     diri = [float(r[3]) for r in rows if r[3]]
     assert all(b < a for a, b in zip(diri, diri[1:]))
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [("grid:20x20", 0), ("tree:3x6", 0), ("whisker:20x8x4", 0), ("random:60x0.08", 3)],
+)
+def test_grow_rows_match_slow_composition(tmp_path, monkeypatch, spec, seed):
+    written = []
+    monkeypatch.setattr(cli, "write_csv", lambda path, header, rows: written.append(rows))
+    argv = ["grow", "--gen", spec, "--seed", str(seed), "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # full balls of grids have no stub
+        assert main(argv) == 0
+        expected = slow_grow_rows(parse_generator_spec(spec, seed))
+    assert written == [expected]
 
 
 def test_grow_command_full_radius_matches_gap(tmp_path):
@@ -246,6 +265,9 @@ def test_keep_disconnected_flag(tmp_path):
     base = ["gap", "--input", str(tmp_path / "two.edges"), "--out", str(tmp_path)]
     assert main(base) == 0  # reduced to largest component
     assert main(base + ["--keep-disconnected"]) == 3  # zero gap rejected
+    grow = ["grow", "--input", str(tmp_path / "two.edges"), "--out", str(tmp_path)]
+    assert main(grow) == 0
+    assert main(grow + ["--keep-disconnected"]) == 2  # no 1-median
 
     # two disjoint 10x10 grids: large enough for the shift-invert route
     grid = sorted(ds.gen_grid(10, 10).labeled_edges())

@@ -230,6 +230,16 @@ def test_reattach_boundary_matches_slow_majority():
     assert ties > 0  # the tie rule was exercised, not only clear majorities
 
 
+def test_reattach_boundary_one_spec_on_two_graphs():
+    # the boundary-interior edges are kept per spec; a spec used on another
+    # graph with the same boundary ids must not reuse the first graph's edges
+    g1, g2 = path_graph(6), ds.gen_grid(2, 3)
+    b = ds.resolve_boundary(g1, "explicit-list", explicit=[0, 5])
+    for prefix in ([1], [2, 3], [1, 2, 3, 4], [4], [1], [3, 4]):
+        for g in (g1, g2, g1):
+            assert reattach_boundary(g, b, prefix) == slow_reattach_boundary(g, b.nodes, prefix)
+
+
 @pytest.mark.parametrize("bad", [-1, 29, np.array([0, -2]), np.array([3, 29])], ids=repr)
 @pytest.mark.parametrize(
     "call",
@@ -336,12 +346,11 @@ def test_sweep_size_filter():
         sweep(g, b, sizes=[10**6])
 
 
-def test_compare_report_rows(two_triangle):
+def test_aggregate_row_matches_size_rows(two_triangle):
     b = _quiet_boundary(two_triangle, "degree-one")
     report = sweep(two_triangle, b)
-    scatter, agg = ds.compare_report(report)
-    assert all(dh == 0 and dc == 0 for _, dh, dc in scatter)
-    assert agg == aggregate_row(report)
+    assert all(r.h_d == r.h_t and r.c_d == r.c_t for r in report.rows)
+    agg = aggregate_row(report)
     assert agg[0] == len(report.rows)
     # aggregate recomputes from the per-size rows exactly
     rows = size_rows(report)

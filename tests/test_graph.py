@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 import dirspec as ds
 from dirspec.errors import DataError
+from dirspec.graph import _pruned_distance_sums, distances_from
 
 from conftest import (
     complete_graph,
     cycle_graph,
+    isp_like_graph,
     path_graph,
     random_graph_suite,
+    slow_ball,
     slow_components,
     slow_distance_sums,
+    slow_eccentricity,
     slow_edge_boundary,
+    slow_induced_subgraph,
+    slow_radius_cut,
     slow_volume,
     star_graph,
 )
@@ -69,8 +77,6 @@ def test_edge_boundary_examples():
     assert ds.edge_boundary(c4, {0, 1}) == 2
     # one root subtree of a finite tree is cut by exactly one edge
     tree = ds.gen_tree(3, 3)
-    from dirspec.graph import distances_from
-
     d_root = distances_from(tree, 0)
     d_child = distances_from(tree, 1)
     subtree = {v for v in range(tree.node_count) if d_root[v] == d_child[v] + 1}
@@ -119,24 +125,76 @@ def test_one_median_examples():
     assert ds.one_median(grid) == sums.index(min(sums)) == 12
 
 
+def _median_cases():
+    yield from random_graph_suite(24, (4, 12), seed_base=800)
+    for n in (2, 7, 8, 31, 32):
+        yield path_graph(n)
+    for n in (3, 8, 13):
+        yield cycle_graph(n)
+    yield ds.gen_grid(6, 9)
+    yield ds.gen_grid(7, 7)
+    yield ds.gen_tree(3, 4)
+    yield ds.gen_whisker(20, 8, 4)
+    yield ds.gen_whisker(6, 3, 2)
+    yield ds.build_graph([("leaf0", "hub"), *[("hub", f"leaf{i}") for i in range(1, 9)]])
+    yield isp_like_graph(300, seed=5)
+
+
+def test_one_median_matches_slow_distance_sums():
+    for g in _median_cases():
+        sums = slow_distance_sums(g)
+        assert ds.one_median(g) == sums.index(min(sums)), g
+
+
+def test_one_median_tie_rules():
+    for n in (3, 8, 13):
+        assert ds.one_median(cycle_graph(n)) == 0  # every sum ties
+    assert ds.one_median(path_graph(8)) == 3  # 3 and 4 tie
+    star = ds.build_graph([("leaf0", "hub"), *[("hub", f"leaf{i}") for i in range(1, 9)]])
+    assert ds.one_median(star) == star.labels.index("hub") == 1
+
+
+def test_pruned_distance_sums_drop_only_non_minimizers():
+    g = isp_like_graph(300, seed=5)
+    sums = np.array(slow_distance_sums(g), dtype=float)
+    hub = int(np.argmax(g.degree))
+    got = _pruned_distance_sums(g, np.arange(g.node_count), float(sums[hub]))
+    done = np.isfinite(got)
+    assert (~done).sum() > g.node_count // 2  # pruning drops most sources
+    assert np.array_equal(got[done], sums[done])
+    assert done[sums == sums.min()].all()
+    # a lone source with no bound runs to the end
+    for v in (0, hub, g.node_count - 1):
+        assert _pruned_distance_sums(g, np.array([v]), np.inf)[0] == sums[v]
+
+
 def test_one_median_requires_connected():
-    g = ds.build_graph([("a", "b"), ("c", "d")])
-    with pytest.raises(DataError, match="connected"):
-        ds.one_median(g)
+    for edges in (
+        [("a", "b"), ("c", "d")],
+        [("h", "a"), ("h", "b"), ("h", "c"), ("x", "y")],  # hub in the large part
+        [("a", "b"), ("b", "c"), ("x", "h"), ("h", "y"), ("h", "z"), ("h", "w")],
+    ):
+        with pytest.raises(DataError, match="connected"):
+            ds.one_median(ds.build_graph(edges))
 
 
 def test_ball_examples():
     p5 = path_graph(5)
-    assert ds.ball(p5, 2, 0) == {2}
-    assert ds.ball(p5, 2, 1) == {1, 2, 3}
-    assert ds.ball(p5, 2, ds.eccentricity(p5, 2)) == set(range(5))
+    dist = distances_from(p5, 2)
+    assert set(np.flatnonzero(dist <= 0)) == {2} == slow_ball(p5, 2, 0)
+    assert set(np.flatnonzero(dist <= 1)) == {1, 2, 3} == slow_ball(p5, 2, 1)
+    assert int(dist.max()) == slow_eccentricity(p5, 2) == 2
+    assert slow_ball(p5, 2, 2) == set(range(5))
 
 
 def test_ball_monotone_and_stabilizes():
     for g in random_graph_suite(6, (5, 10), seed_base=500):
+        dist = distances_from(g, 0)
+        assert int(dist.max()) == slow_eccentricity(g, 0)
         prev = frozenset()
         for r in range(g.node_count):
-            cur = ds.ball(g, 0, r)
+            cur = frozenset(np.flatnonzero(dist <= r).tolist())
+            assert cur == slow_ball(g, 0, r)
             assert prev <= cur
             prev = cur
         assert prev == frozenset(range(g.node_count))
@@ -191,27 +249,50 @@ def test_resolve_boundary_explicit():
 def test_resolve_boundary_radius_cut():
     w = ds.gen_whisker(6, 2, 3)
     center = ds.one_median(w)
-    members = ds.ball(w, center, 2)
+    members = slow_ball(w, center, 2)
     sub = ds.induced_subgraph(w, members)
     b = ds.resolve_boundary(sub, "radius-cut", parent=w, parent_nodes=members)
-    expected = set()
-    inset = set(members)
-    for i, lab in enumerate(sub.labels):
-        p = w.label_to_id[lab]
-        if w.degree[p] == 1 or any(int(v) not in inset for v in w.neighbors(p)):
-            expected.add(i)
-    assert b.nodes == expected
+    assert b.nodes == slow_radius_cut(sub, w, members)
     # at full radius the rule degenerates to the degree-one policy
-    full = ds.ball(w, center, ds.eccentricity(w, center))
+    full = slow_ball(w, center, slow_eccentricity(w, center))
     sub_full = ds.induced_subgraph(w, full)
     b_full = ds.resolve_boundary(sub_full, "radius-cut", parent=w, parent_nodes=full)
     deg1 = frozenset(int(v) for v in np.flatnonzero(sub_full.degree == 1))
     assert b_full.nodes == deg1
+    # the subgraph must be the one parent_nodes induces
+    with pytest.raises(DataError, match="induced by parent_nodes"):
+        ds.resolve_boundary(sub, "radius-cut", parent=w, parent_nodes=full)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        ds.gen_grid(20, 20),
+        ds.gen_tree(3, 6),
+        ds.gen_whisker(20, 8, 4),
+        ds.gen_random_connected(60, 0.08, seed=3),
+        isp_like_graph(300, seed=5),
+    ],
+    ids=["grid", "tree", "whisker", "random", "isp"],
+)
+def test_balls_subgraphs_and_radius_cut_match_slow_references(g):
+    center = ds.one_median(g)
+    dist = distances_from(g, center)
+    assert int(dist.max()) == slow_eccentricity(g, center)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the full ball of a grid has no stub
+        for r in range(1, int(dist.max()) + 1):
+            members = np.flatnonzero(dist <= r)
+            assert frozenset(members.tolist()) == slow_ball(g, center, r)
+            sub = ds.induced_subgraph(g, members)
+            assert sub == slow_induced_subgraph(g, members)
+            b = ds.resolve_boundary(sub, "radius-cut", parent=g, parent_nodes=members)
+            assert b.nodes == slow_radius_cut(sub, g, members)
 
 
 def test_is_connected_matches_bfs():
     for g in random_graph_suite(6, (4, 8), seed_base=700):
-        reached = ds.ball(g, 0, g.node_count)
+        reached = slow_ball(g, 0, g.node_count)
         assert ds.is_connected(g) == (len(reached) == g.node_count)
     assert not ds.is_connected(ds.build_graph([("a", "b"), ("c", "d")]))
 
@@ -221,6 +302,11 @@ def test_largest_component():
     big = ds.largest_component(g)
     assert big.node_count == 3
     assert set(big.labels) == {"a", "b", "c"}
+    # first-seen ids follow the component's edges, not the input order
+    g = ds.build_graph([("p", "q"), ("a", "b"), ("c", "d"), ("a", "d"), ("b", "c")])
+    big = ds.largest_component(g)
+    assert big == slow_induced_subgraph(g, range(2, 6))
+    assert big.labels == ("a", "b", "d", "c")
 
 
 def test_induced_subgraph_preserves_labels():
@@ -229,6 +315,23 @@ def test_induced_subgraph_preserves_labels():
     assert sub.labeled_edges() == {("0", "1"), ("1", "2")}
     with pytest.raises(DataError, match="no edges"):
         ds.induced_subgraph(c6, {0, 2, 4})
+
+
+def test_induced_subgraph_matches_label_round_trip():
+    for g in [*random_graph_suite(16, (5, 14), seed_base=900), isp_like_graph(200, seed=2)]:
+        rng = np.random.default_rng(g.node_count)
+        for size in (2, g.node_count // 2, g.node_count - 1, g.node_count):
+            members = rng.permutation(g.node_count)[:size]
+            try:
+                expected = slow_induced_subgraph(g, members)
+            except DataError:
+                with pytest.raises(DataError, match="no edges"):
+                    ds.induced_subgraph(g, members)
+                continue
+            sub = ds.induced_subgraph(g, members)
+            assert sub == expected
+            assert sub.cleaning == expected.cleaning
+            assert sub.labeled_edges() == expected.labeled_edges()
 
 
 def test_complete_graph_volume_degrees():
