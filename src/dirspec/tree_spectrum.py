@@ -14,13 +14,37 @@ The depth-symmetric family takes the L+1 roots of
 the sector families, supported below a level-k node, take a = j*pi/(L+1-k).
 This module serves as an independent oracle for the numerical eigensolver.
 
-The gap needs only the smallest root, and with m = L+1 it is the one root on
-(pi/(2m), pi/m). The condition is (d-2) cos(pi/(2m)) > 0 at the left end and
--d sin(pi/m) < 0 at the right end. Between them tan(a) > 0 and tan(ma) < 0,
-and tan(a)/tan(ma) falls strictly from 0 to -inf (the numerator rises, the
-negative denominator rises from -inf toward 0), so it meets -(d-2)/d exactly
-once. On (0, pi/(2m)] the condition's first term is non-negative and its
-second positive, so no smaller root exists.
+Write f(a) for the condition and m = L+1. Every root has its own bracket.
+For j = 1..floor(m/2) the interval B_j = ((j-1/2)pi/m, j pi/m) lies below
+pi/2 and holds exactly one root:
+
+- at its left end ma = (j-1/2)pi, so f = (d-2) cos(a) (-1)^(j+1); at its
+  right end ma = j pi, so f = d sin(a) (-1)^j. When m is even the last
+  bracket ends at pi/2, where f = d (-1)^j. The ends have opposite signs.
+- inside it tan(a) > 0 > tan(ma), and f = 0 exactly where
+  tan(a)/tan(ma) = -(d-2)/d. |tan(a)| rises and |tan(ma)| falls from inf
+  to 0, so |tan(a)/tan(ma)| rises strictly from 0 to inf and meets (d-2)/d
+  once.
+
+No root lies between brackets: on (0, pi/(2m)] (j = 0) and on each
+[j pi/m, (j+1/2)pi/m], taken below pi/2, sin(ma) and cos(ma) are never both
+zero and neither has the sign opposite to (-1)^j, while sin(a), cos(a) > 0,
+so both terms of f share a sign and do not both vanish. When m is odd the
+last such interval, j = (m-1)/2, ends at pi/2, where both terms vanish:
+pi/2 is a root. Last, f(pi - a) = (-1)^m f(a), so the roots above pi/2 are
+the mirror images pi - a of those below. That accounts for all m roots, and
+the gap's root is the one on B_1 = (pi/(2m), pi/m).
+
+The residual guard. At a float a within an ulp or two of a root, the
+computed f differs from zero by (i) |f'| |a - a*|, where
+|f'| <= 2(d-1)(m+1) and |a - a*| is about eps for angles below pi; (ii) the
+rounding of m*a, up to m*pi*eps/2 in the argument, which moves the two terms
+by less than pi*eps*d*m; (iii) a few roundings of sin, cos and the products,
+each about eps*d. Together that is a few times eps*d*(m+1), so a root is
+accepted when its residual is at most 8*eps*d*(m+1). The largest ratio
+measured is 2.79, over all 29,536 roots for d = 3..10, L = 1..79, 100, 150,
+200, and at (d, L) = (3, 2000), (4, 2000), (5, 700), (6, 700), (8, 300),
+(10, 300) and (10, 10000).
 """
 
 from __future__ import annotations
@@ -31,9 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-
-GRID_PER_ROOT = 64
-ROOT_RESIDUAL_TOL = 1e-12
 
 
 def infinite_tree_gap(degree: int) -> float:
@@ -64,12 +85,24 @@ def _check_family_args(degree: int, levels: int) -> None:
         raise DataError("levels must be >= 1")
 
 
-def _refine_root(degree: int, levels: int, lo: float, hi: float, flo: float) -> float:
-    """Bisect a sign change of the condition on [lo, hi] to adjacent floats.
+def _bracketed_root(degree: int, levels: int, j: int) -> float:
+    """Root j of the condition, the one on ((j-1/2)pi/m, j pi/m), j = 1..m//2.
 
-    flo is the condition's value at lo. One Newton step then drives the
-    residual to the rounding floor; a step wider than the bracket is dropped.
+    The ends must carry the proved signs (-1)^(j+1) and (-1)^j, else
+    NumericalError. Bisection runs to adjacent floats; one Newton step then
+    drives the residual to the rounding floor, and a step wider than the
+    bracket is dropped.
     """
+    m = levels + 1
+    lo, hi = (j - 0.5) * math.pi / m, j * math.pi / m
+    flo = _eig_condition(degree, levels, lo)
+    fhi = _eig_condition(degree, levels, hi)
+    sign = 1.0 if j % 2 else -1.0
+    if not (sign * flo > 0.0 > sign * fhi):
+        raise NumericalError(
+            f"root {j} bracket has no sign change: condition {flo:.3e} at "
+            f"(j-1/2)pi/m, {fhi:.3e} at j*pi/m (degree={degree}, levels={levels})"
+        )
     width = hi - lo
     for _ in range(100):
         mid = 0.5 * (lo + hi)
@@ -92,38 +125,23 @@ def _refine_root(degree: int, levels: int, lo: float, hi: float, flo: float) -> 
 
 
 def _check_residual(degree: int, levels: int, roots) -> None:
+    guard = 8 * np.finfo(float).eps * degree * (levels + 2)
     bad = max(abs(_eig_condition(degree, levels, r)) for r in roots)
-    if bad > ROOT_RESIDUAL_TOL:
-        raise NumericalError(f"root residual {bad:.3e} exceeds {ROOT_RESIDUAL_TOL:.0e}")
+    if bad > guard:
+        raise NumericalError(f"root residual {bad:.3e} exceeds {guard:.3e}")
 
 
 def symmetric_family_roots(degree: int, levels: int) -> np.ndarray:
-    """All levels+1 angle roots of the eigenvalue condition on (0, pi).
+    """All levels+1 angle roots of the eigenvalue condition on (0, pi), ascending.
 
-    Sign changes are bracketed on a uniform grid and each is refined by
-    bisection and one Newton step; exactly levels+1 roots must emerge.
+    Root j below pi/2 is solved on its own bracket; pi/2 is a root when
+    levels+1 is odd, and the rest mirror the lower roots as a -> pi - a.
     """
     _check_family_args(degree, levels)
     m = levels + 1
-    n_grid = GRID_PER_ROOT * m
-    xs = np.arange(1, n_grid) * (math.pi / n_grid)
-    fs = np.array([_eig_condition(degree, levels, x) for x in xs])
-
-    roots: list[float] = []
-    for i in range(len(xs) - 1):
-        f0, f1 = fs[i], fs[i + 1]
-        if f0 == 0.0:
-            roots.append(float(xs[i]))
-        elif f0 * f1 < 0.0:
-            roots.append(_refine_root(degree, levels, float(xs[i]), float(xs[i + 1]), f0))
-    if fs[-1] == 0.0:
-        roots.append(float(xs[-1]))
-
-    if len(roots) != m:
-        raise NumericalError(
-            f"root bracketing failed: expected {m} roots, found {len(roots)} "
-            f"(degree={degree}, levels={levels})"
-        )
+    low = [_bracketed_root(degree, levels, j) for j in range(1, m // 2 + 1)]
+    middle = [math.pi / 2] if m % 2 else []
+    roots = low + middle + [math.pi - a for a in reversed(low)]
     _check_residual(degree, levels, roots)
     return np.array(roots)
 
@@ -135,23 +153,12 @@ def eigenvalue_from_angle(degree: int, a: float) -> float:
 def dirichlet_gap_analytic(degree: int, levels: int) -> float:
     """Smallest boundary-conditioned eigenvalue of the finite regular tree.
 
-    Solves only the smallest root of the condition, on (pi/(2m), pi/m) with
-    m = levels+1: the condition is (d-2) cos(pi/(2m)) > 0 at the left end and
-    -d sin(pi/m) < 0 at the right end, and tan(a)/tan(ma) is strictly
-    monotone in between, so the bracket holds exactly one root (see the
-    module docstring). Ends without opposite signs raise NumericalError.
+    Solves only the smallest root of the condition, on its one-root bracket
+    (pi/(2m), pi/m) with m = levels+1, the same solve that gives
+    symmetric_family_roots its first root (see the module docstring).
     """
     _check_family_args(degree, levels)
-    m = levels + 1
-    lo, hi = math.pi / (2 * m), math.pi / m
-    flo = _eig_condition(degree, levels, lo)
-    fhi = _eig_condition(degree, levels, hi)
-    if not (flo > 0.0 > fhi):
-        raise NumericalError(
-            f"smallest-root bracket has no sign change: condition {flo:.3e} at "
-            f"pi/(2m), {fhi:.3e} at pi/m (degree={degree}, levels={levels})"
-        )
-    root = _refine_root(degree, levels, lo, hi, flo)
+    root = _bracketed_root(degree, levels, 1)
     _check_residual(degree, levels, [root])
     return eigenvalue_from_angle(degree, root)
 

@@ -305,3 +305,14 @@ def slow_radial_tree_gap(degree: int, levels: int) -> float:
             np.ones(levels + 1), -off / degree, select="i", select_range=(0, 0)
         )[0]
     )
+
+
+def slow_radial_tree_spectrum(degree: int, levels: int) -> np.ndarray:
+    """Every level-constant eigenvalue of the same radial tridiagonal, ascending.
+
+    These are the tree's depth-symmetric family: the whole spectrum of the
+    (levels+1)x(levels+1) matrix that slow_radial_tree_gap takes the lowest of.
+    """
+    off = np.full(levels, math.sqrt(degree - 1))
+    off[0] = math.sqrt(degree)
+    return eigvalsh_tridiagonal(np.ones(levels + 1), -off / degree)

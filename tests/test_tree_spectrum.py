@@ -11,6 +11,11 @@ from dirspec.errors import DataError, NumericalError
 from dirspec.spectral import build_dirichlet_laplacian, smallest_eigenpairs
 from dirspec.tree_spectrum import _eig_condition, eigenvalue_from_angle
 
+from conftest import slow_radial_tree_spectrum
+
+# depths at which a fixed 1e-12 residual guard rejected the family's largest roots
+DEEP_CASES = ((3, 2000), (4, 2000), (5, 700), (6, 700), (8, 300), (10, 300))
+
 
 def test_infinite_tree_gap_values():
     assert ds.infinite_tree_gap(2) == 0.0
@@ -72,11 +77,19 @@ def test_gap_analytic_is_smallest_family_root():
 
 
 def test_smallest_root_bracket_signs():
+    # every bracket ((j-1/2)pi/m, j pi/m) has the proved end signs (-1)^(j+1), (-1)^j
     for degree in range(3, 11):
         for levels in [*range(1, 51), 200, 1000, 5000]:
             m = levels + 1
-            assert _eig_condition(degree, levels, math.pi / (2 * m)) > 0, (degree, levels)
-            assert _eig_condition(degree, levels, math.pi / m) < 0, (degree, levels)
+            for j in range(1, m // 2 + 1):
+                sign = 1.0 if j % 2 else -1.0
+                left = _eig_condition(degree, levels, (j - 0.5) * math.pi / m)
+                right = _eig_condition(degree, levels, j * math.pi / m)
+                assert sign * left > 0, (degree, levels, j)
+                assert sign * right < 0, (degree, levels, j)
+                if 2 * j == m:
+                    # the last bracket of an even m ends at pi/2
+                    assert right == pytest.approx(degree * (-1) ** j, abs=1e-12)
 
 
 @pytest.mark.parametrize("value", [1.0, -1.0])
@@ -84,8 +97,28 @@ def test_gap_analytic_bracket_without_sign_change_raises(monkeypatch, value):
     # the package attribute dirspec.tree_spectrum is the function, not the module
     module = importlib.import_module("dirspec.tree_spectrum")
     monkeypatch.setattr(module, "_eig_condition", lambda degree, levels, a: value)
-    with pytest.raises(NumericalError, match="no sign change"):
-        ds.dirichlet_gap_analytic(3, 10)
+    for solve in (ds.dirichlet_gap_analytic, ds.symmetric_family_roots):
+        with pytest.raises(NumericalError, match="no sign change"):
+            solve(3, 10)
+
+
+def test_symmetric_family_matches_radial_spectrum():
+    eps = np.finfo(float).eps
+    cases = [
+        (degree, levels)
+        for degree in range(3, 11)
+        for levels in (1, 2, 3, 4, 7, 10, 31, 64, 100, 257)
+    ]
+    for degree, levels in [*cases, *DEEP_CASES]:
+        spec = ds.tree_spectrum(degree, levels)
+        angles = spec.symmetric_angles
+        assert len(angles) == levels + 1
+        assert (np.diff(angles) > 0).all() and 0 < angles[0] and angles[-1] < math.pi
+        worst = max(abs(_eig_condition(degree, levels, a)) for a in angles)
+        assert worst <= 8 * eps * degree * (levels + 2), (degree, levels)
+        got = np.sort(spec.symmetric_eigenvalues)
+        want = slow_radial_tree_spectrum(degree, levels)
+        assert np.abs(got - want).max() <= 1e-12, (degree, levels)
 
 
 def test_gap_analytic_monotone_and_above_infinite():
