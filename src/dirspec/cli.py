@@ -177,14 +177,13 @@ def cmd_cluster_sweep(args) -> int:
     agg_path = _outpath(args, "sweep_aggregate.csv")
     write_csv(agg_path, clustering.AGGREGATE_HEADER, [clustering.aggregate_row(report)])
     if args.emit_cuts:
+        eu, ev = g.edge_arrays  # u ascending, then v
         for row, cut in zip(report.rows, report.dirichlet_cuts):
-            members = sorted(cut)
-            inset = set(members)
+            inset = g.node_mask(cut, allow_empty=True)
+            keep = inset[eu] & inset[ev]
             lines = [
                 f"{g.labels[u]} {g.labels[v]}"
-                for u in members
-                for v in g.neighbors(u)
-                if v > u and int(v) in inset
+                for u, v in zip(eu[keep].tolist(), ev[keep].tolist())
             ]
             with open(_outpath(args, f"cut_{row.k}.edges"), "w", encoding="utf-8", newline="") as f:
                 f.write("\n".join(lines) + ("\n" if lines else ""))

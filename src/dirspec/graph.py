@@ -134,51 +134,63 @@ def build_graph(edge_pairs: Iterable[Sequence[str]]) -> Graph:
     surviving edge, so the graph never contains isolated nodes.
     """
     label_ids: dict[str, int] = {}
-    labels: list[str] = []
-    seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = []
-    duplicates = 0
-    self_loops = 0
-
-    for pair in edge_pairs:
-        a, b = str(pair[0]), str(pair[1])
-        if a == b:
-            self_loops += 1
-            continue
-        ids = []
-        for lab in (a, b):
-            i = label_ids.get(lab)
-            if i is None:
-                i = len(labels)
-                label_ids[lab] = i
-                labels.append(lab)
-                adj.append([])
-            ids.append(i)
-        u, v = ids
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-
-    if not seen:
+    stream = np.fromiter(
+        (
+            label_ids.setdefault(str(lab), len(label_ids))
+            for pair in edge_pairs
+            for lab in (pair[0], pair[1])
+        ),
+        dtype=np.int64,
+    )
+    u, v = stream[0::2], stream[1::2]
+    loop = u == v
+    u, v = u[~loop], v[~loop]
+    # first occurrence of each edge, in stream order
+    key = np.minimum(u, v) * len(label_ids) + np.maximum(u, v)
+    keep = np.sort(np.unique(key, return_index=True)[1])
+    if keep.size == 0:
         raise DataError("empty graph: no edges remain after cleaning")
+    cleaning = CleaningReport(
+        duplicates=int(u.size - keep.size), self_loops=int(np.count_nonzero(loop))
+    )
+    return _assemble(u[keep], v[keep], list(label_ids), cleaning)
 
-    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-    for i, nbrs in enumerate(adj):
-        nbrs.sort()
-        indptr[i + 1] = indptr[i] + len(nbrs)
-    indices = np.fromiter(
-        (v for nbrs in adj for v in nbrs), dtype=np.int64, count=int(indptr[-1])
-    )
-    return Graph(
-        tuple(labels),
-        indptr,
-        indices,
-        CleaningReport(duplicates=duplicates, self_loops=self_loops),
-    )
+
+def _first_seen(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ids of the edges (u[i], v[i]) in order of first appearance in
+    the stream u0, v0, u1, v1, ..., and the rank of each id in that order,
+    which is its dense id in the graph (entries of absent ids are unset)."""
+    values, first = np.unique(np.column_stack((u, v)).ravel(), return_index=True)
+    order = values[np.argsort(first)]
+    rank = np.empty(int(values[-1]) + 1, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return order, rank
+
+
+def _assemble(
+    u: np.ndarray,
+    v: np.ndarray,
+    labels: Sequence[str] | None = None,
+    cleaning: CleaningReport = CleaningReport(),
+) -> Graph:
+    """The Graph of the edges (u[i], v[i]), given as ids.
+
+    The one constructor of canonical graphs: dense ids follow first
+    appearance in u0, v0, u1, v1, ..., and each adjacency row is sorted.
+    The edges must hold no self-loop and no edge twice.  ``labels[x]``
+    names id x (default ``str(x)``).
+    """
+    order, rank = _first_seen(u, v)
+    k = order.size
+    rows = rank[np.concatenate((u, v))]
+    cols = rank[np.concatenate((v, u))]
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
+    if labels is None:
+        names = tuple(map(str, order.tolist()))
+    else:
+        names = tuple(map(labels.__getitem__, order.tolist()))
+    return Graph(names, indptr, cols[np.lexsort((cols, rows))], cleaning)
 
 
 def volume(g: Graph, s: Iterable[int]) -> int:
@@ -310,25 +322,17 @@ def one_median(g: Graph) -> int:
     return int(np.argmin(sums))
 
 
-def _first_seen(g: Graph, inset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parent ids of the subgraph induced by a node mask, in subgraph id order,
-    and its edges as (m_sub, 2) rows of subgraph ids.
+def _induced_edges(g: Graph, inset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of the subgraph induced by a node mask, as arrays of parent ids.
 
     The kept entries of ``edge_arrays`` run u ascending, then v, which is
-    the label-pair stream ``build_graph`` would read for this subgraph, so
-    first appearance in u0, v0, u1, v1, ... gives its ids.  Nodes with no
-    edge inside the mask drop out.
+    the label-pair stream ``build_graph`` would read for this subgraph.
     """
     eu, ev = g.edge_arrays
     keep = inset[eu] & inset[ev]
     if not keep.any():
         raise DataError("induced subgraph has no edges")
-    stream = np.column_stack((eu[keep], ev[keep])).ravel()
-    ids, first, inverse = np.unique(stream, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    sub_id = np.empty_like(order)
-    sub_id[order] = np.arange(order.size)
-    return ids[order], sub_id[inverse].reshape(-1, 2)
+    return eu[keep], ev[keep]
 
 
 def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
@@ -338,14 +342,7 @@ def induced_subgraph(g: Graph, nodes: Iterable[int]) -> Graph:
 
     Nodes with no surviving edge are dropped (Graph cannot hold isolated nodes).
     """
-    parent_ids, edges = _first_seen(g, g.node_mask(nodes))
-    k = parent_ids.size
-    rows = np.concatenate((edges[:, 0], edges[:, 1]))
-    cols = np.concatenate((edges[:, 1], edges[:, 0]))
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=k), out=indptr[1:])
-    labels = tuple(map(g.labels.__getitem__, parent_ids.tolist()))
-    return Graph(labels, indptr, cols[np.lexsort((cols, rows))].astype(np.int64))
+    return _assemble(*_induced_edges(g, g.node_mask(nodes)), g.labels)
 
 
 def largest_component(g: Graph) -> Graph:
@@ -403,7 +400,7 @@ def resolve_boundary(
         if parent is None or parent_nodes is None:
             raise DataError("radius-cut boundary requires the parent graph and node set")
         inset = parent.node_mask(parent_nodes)
-        parent_ids, _ = _first_seen(parent, inset)
+        parent_ids, _ = _first_seen(*_induced_edges(parent, inset))
         if tuple(map(parent.labels.__getitem__, parent_ids.tolist())) != g.labels:
             raise DataError("radius-cut needs the subgraph of parent induced by parent_nodes")
         eu, ev = parent.edge_arrays

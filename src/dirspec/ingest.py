@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .graph import Graph, build_graph, is_connected
+from .graph import Graph, _assemble, build_graph, is_connected
 
 SIZE_GUARD = 10_000_000
 
@@ -60,20 +60,12 @@ def gen_tree(degree: int, depth: int) -> Graph:
     children, so every interior node has full degree; leaves sit at `depth` hops."""
     if degree < 2 or depth < 1:
         raise DataError("gen_tree requires degree >= 2 and depth >= 1")
-    _check_size(tree_node_count(degree, depth))
-    edges: list[tuple[str, str]] = []
-    level = [0]
-    next_id = 1
-    for lev in range(depth):
-        fanout = degree if lev == 0 else degree - 1
-        new_level = []
-        for parent in level:
-            for _ in range(fanout):
-                edges.append((str(parent), str(next_id)))
-                new_level.append(next_id)
-                next_id += 1
-        level = new_level
-    return build_graph(edges)
+    n = tree_node_count(degree, depth)
+    _check_size(n)
+    # ids run level by level; edges come in child order
+    child = np.arange(1, n)
+    parent = np.where(child <= degree, 0, (child - degree - 1) // (degree - 1) + 1)
+    return _assemble(parent, child)
 
 
 def gen_grid(rows: int, cols: int) -> Graph:
@@ -81,15 +73,11 @@ def gen_grid(rows: int, cols: int) -> Graph:
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise DataError("gen_grid requires rows*cols >= 2")
     _check_size(rows * cols)
-    edges: list[tuple[str, str]] = []
-    # emit each node's up/left edges so dense ids coincide with labels
-    for k in range(1, rows * cols):
-        r, c = divmod(k, cols)
-        if c > 0:
-            edges.append((str(k - 1), str(k)))
-        if r > 0:
-            edges.append((str(k - cols), str(k)))
-    return build_graph(edges)
+    # each node's left edge, then its up edge, so dense ids coincide with labels
+    k = np.arange(1, rows * cols)
+    ends = np.stack((k - 1, k - cols), axis=1)
+    has = np.stack((k % cols > 0, k >= cols), axis=1)
+    return _assemble(ends[has], np.repeat(k, has.sum(axis=1)))
 
 
 def gen_whisker(core_size: int, whisker_count: int, whisker_len: int) -> Graph:
@@ -99,34 +87,31 @@ def gen_whisker(core_size: int, whisker_count: int, whisker_len: int) -> Graph:
             "gen_whisker requires core_size >= 3 and whisker parameters >= 1"
         )
     _check_size(core_size + whisker_count * whisker_len)
-    edges: list[tuple[str, str]] = []
-    for j in range(1, core_size):
-        for i in range(j):
-            edges.append((str(i), str(j)))
-    next_id = core_size
-    for w in range(whisker_count):
-        prev = w % core_size
-        for _ in range(whisker_len):
-            edges.append((str(prev), str(next_id)))
-            prev = next_id
-            next_id += 1
-    return build_graph(edges)
+    # core edges (i, j) by j, then i; whisker w hangs off core node w % core_size
+    j, i = np.tril_indices(core_size, -1)
+    path = np.arange(core_size, core_size + whisker_count * whisker_len)
+    prev = path - 1
+    prev[::whisker_len] = np.arange(whisker_count) % core_size
+    return _assemble(np.concatenate((i, prev)), np.concatenate((j, path)))
 
 
 def gen_random_connected(n: int, p: float, seed: int = 0) -> Graph:
-    """Erdos-Renyi G(n, p), redrawn until all n nodes appear and the graph connects."""
+    """Erdos-Renyi G(n, p), redrawn until all n nodes appear and the graph connects.
+
+    Each draw takes one uniform per pair u < v, row by row, the same stream
+    as one call over the whole upper triangle, without holding it.
+    """
     if n < 2 or n > 10_000:
         raise DataError("gen_random_connected requires 2 <= n <= 10000")
     if not 0 < p <= 1:
         raise DataError("gen_random_connected requires 0 < p <= 1")
     rng = np.random.default_rng(seed)
-    iu, iv = np.triu_indices(n, k=1)
     for _ in range(1000):
-        pick = rng.random(iu.size) < p
-        if not pick.any():
+        picks = [u + 1 + np.flatnonzero(rng.random(n - 1 - u) < p) for u in range(n - 1)]
+        v = np.concatenate(picks)
+        if v.size == 0:
             continue
-        pairs = [(str(int(u)), str(int(v))) for u, v in zip(iu[pick], iv[pick])]
-        g = build_graph(pairs)
+        g = _assemble(np.repeat(np.arange(n - 1), [x.size for x in picks]), v)
         if g.node_count == n and is_connected(g):
             return g
     raise DataError(f"could not draw a connected graph for n={n}, p={p}, seed={seed}")

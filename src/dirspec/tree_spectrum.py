@@ -169,12 +169,11 @@ def sector_family_eigenvalues(degree: int, levels: int) -> list[tuple[float, int
     For each k in 0..levels-1 the angles are j*pi/(levels+1-k), j = 1..levels-k.
     """
     _check_family_args(degree, levels)
-    out: list[tuple[float, int]] = []
-    for k in range(levels):
-        span = levels + 1 - k
-        for j in range(1, levels - k + 1):
-            out.append((eigenvalue_from_angle(degree, j * math.pi / span), k))
-    return out
+    k, col = np.triu_indices(levels)  # k ascending, then j = col - k + 1 ascending
+    angles = (col - k + 1) * math.pi / (levels + 1 - k)
+    # the operations of eigenvalue_from_angle, in its order
+    values = 1.0 - 2.0 * math.sqrt(degree - 1) / degree * np.cos(angles)
+    return list(zip(values.tolist(), k.tolist()))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.sparse import csgraph
 
 import dirspec as ds
-from dirspec.errors import DirspecError
+from dirspec.errors import DataError, DirspecError
 
 
 @pytest.fixture
@@ -129,8 +129,122 @@ def slow_ball(g: ds.Graph, center: int, radius: int) -> frozenset[int]:
     return frozenset(int(i) for i in np.flatnonzero(dist <= radius))
 
 
+def slow_build_graph(edge_pairs) -> ds.Graph:
+    """Graph of raw label pairs by a per-edge Python loop: a label dict, a
+    seen-set of id pairs, adjacency lists and a per-node sort.  Self-loops
+    and duplicates are dropped and counted, as ``build_graph`` does."""
+    label_ids: dict[str, int] = {}
+    labels: list[str] = []
+    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = []
+    duplicates = 0
+    self_loops = 0
+
+    for pair in edge_pairs:
+        a, b = str(pair[0]), str(pair[1])
+        if a == b:
+            self_loops += 1
+            continue
+        ids = []
+        for lab in (a, b):
+            i = label_ids.get(lab)
+            if i is None:
+                i = len(labels)
+                label_ids[lab] = i
+                labels.append(lab)
+                adj.append([])
+            ids.append(i)
+        u, v = ids
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+
+    if not seen:
+        raise DataError("empty graph: no edges remain after cleaning")
+
+    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    for i, nbrs in enumerate(adj):
+        nbrs.sort()
+        indptr[i + 1] = indptr[i] + len(nbrs)
+    indices = np.fromiter(
+        (v for nbrs in adj for v in nbrs), dtype=np.int64, count=int(indptr[-1])
+    )
+    return ds.Graph(
+        tuple(labels),
+        indptr,
+        indices,
+        ds.CleaningReport(duplicates=duplicates, self_loops=self_loops),
+    )
+
+
+def slow_tree_pairs(degree: int, depth: int) -> list[tuple[str, str]]:
+    """Label pairs of ``gen_tree``: level by level, each parent's children in turn."""
+    edges: list[tuple[str, str]] = []
+    level = [0]
+    next_id = 1
+    for lev in range(depth):
+        fanout = degree if lev == 0 else degree - 1
+        new_level = []
+        for parent in level:
+            for _ in range(fanout):
+                edges.append((str(parent), str(next_id)))
+                new_level.append(next_id)
+                next_id += 1
+        level = new_level
+    return edges
+
+
+def slow_grid_pairs(rows: int, cols: int) -> list[tuple[str, str]]:
+    """Label pairs of ``gen_grid``: each node's left edge, then its up edge."""
+    edges: list[tuple[str, str]] = []
+    for k in range(1, rows * cols):
+        r, c = divmod(k, cols)
+        if c > 0:
+            edges.append((str(k - 1), str(k)))
+        if r > 0:
+            edges.append((str(k - cols), str(k)))
+    return edges
+
+
+def slow_whisker_pairs(core_size: int, whisker_count: int, whisker_len: int) -> list[tuple[str, str]]:
+    """Label pairs of ``gen_whisker``: the clique by (j, i < j), then each path."""
+    edges: list[tuple[str, str]] = []
+    for j in range(1, core_size):
+        for i in range(j):
+            edges.append((str(i), str(j)))
+    next_id = core_size
+    for w in range(whisker_count):
+        prev = w % core_size
+        for _ in range(whisker_len):
+            edges.append((str(prev), str(next_id)))
+            prev = next_id
+            next_id += 1
+    return edges
+
+
+def slow_random_connected(n: int, p: float, seed: int = 0) -> tuple[ds.Graph, int]:
+    """``gen_random_connected`` by one uniform draw over the whole upper
+    triangle per attempt, label pairs and ``slow_build_graph``; also returns
+    the number of draws taken."""
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, k=1)
+    for attempt in range(1, 1001):
+        pick = rng.random(iu.size) < p
+        if not pick.any():
+            continue
+        pairs = [(str(int(u)), str(int(v))) for u, v in zip(iu[pick], iv[pick])]
+        g = slow_build_graph(pairs)
+        if g.node_count == n and slow_components(g, range(n)) == 1:
+            return g, attempt
+    raise AssertionError(f"no connected draw for n={n}, p={p}, seed={seed}")
+
+
 def slow_induced_subgraph(g: ds.Graph, nodes) -> ds.Graph:
-    """Induced subgraph by a label round trip through ``build_graph``."""
+    """Induced subgraph by a label round trip through ``slow_build_graph``."""
     inset = g.node_mask(nodes)
     pairs = [
         (g.labels[u], g.labels[v])
@@ -138,7 +252,7 @@ def slow_induced_subgraph(g: ds.Graph, nodes) -> ds.Graph:
         for v in g.neighbors(u)
         if v > u and inset[v]
     ]
-    return ds.build_graph(pairs)
+    return slow_build_graph(pairs)
 
 
 def slow_radius_cut(sub: ds.Graph, parent: ds.Graph, members) -> frozenset[int]:

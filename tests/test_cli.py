@@ -239,25 +239,48 @@ def test_cluster_sweep_command(tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
-def test_cluster_sweep_sizes_filter_and_cut_files(tmp_path):
-    rc = main(
-        [
-            "cluster-sweep",
-            "--gen",
-            "whisker:10x4x2",
-            "--sizes",
-            "3,5",
-            "--emit-cuts",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert rc == 0
-    _, rows = read_csv(tmp_path / "sweep_sizes.csv")
-    kept = [int(r[0]) for r in rows]
-    assert set(kept) <= {3, 5}
-    for k in kept:
-        assert (tmp_path / f"cut_{k}.edges").exists()
+def _slow_cut_lines(g, cut) -> list[str]:
+    """Edges inside a cut, by each member ascending and its larger neighbors."""
+    members = sorted(cut)
+    inset = set(members)
+    return [
+        f"{g.labels[u]} {g.labels[v]}"
+        for u in members
+        for v in g.neighbors(u)
+        if v > u and int(v) in inset
+    ]
+
+
+def test_cluster_sweep_sizes_filter_and_cut_files(tmp_path, monkeypatch):
+    calls = []
+
+    def recording_sweep(g, *args, **kwargs):
+        calls.append((g, ds.sweep(g, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli.clustering, "sweep", recording_sweep)
+    cases = [
+        ("whisker:10x4x2", ["--sizes", "3,5"]),
+        ("random:30x0.15", []),
+        ("grid:6x7", ["--boundary", "grid-perimeter"]),
+    ]
+    for i, (spec, flags) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert main(["cluster-sweep", "--gen", spec, *flags, "--emit-cuts", "--out", str(out)]) == 0
+        _, rows = read_csv(out / "sweep_sizes.csv")
+        kept = [int(r[0]) for r in rows]
+        if "--sizes" in flags:
+            assert set(kept) <= {3, 5}
+        g, report = calls[i]
+        assert [row.k for row in report.rows] == kept
+        assert sorted(p.name for p in out.glob("cut_*.edges")) == sorted(
+            f"cut_{k}.edges" for k in kept
+        )
+        # every file line by line against the report's Dirichlet cut
+        for row, cut in zip(report.rows, report.dirichlet_cuts):
+            text = (out / f"cut_{row.k}.edges").read_text()
+            assert text.splitlines() == _slow_cut_lines(g, cut)
+            assert text.endswith("\n") or text == ""
 
 
 def test_keep_disconnected_flag(tmp_path):

@@ -16,6 +16,7 @@ from conftest import (
     path_graph,
     random_graph_suite,
     slow_ball,
+    slow_build_graph,
     slow_components,
     slow_distance_sums,
     slow_eccentricity,
@@ -53,6 +54,28 @@ def test_build_graph_first_seen_ids():
     g = ds.build_graph([("c", "a"), ("a", "b")])
     assert g.labels == ("c", "a", "b")
     assert sorted(map(int, g.neighbors(1))) == [0, 2]
+
+
+@pytest.mark.parametrize("n, seed", [(60, 1), (300, 5), (1000, 2)])
+def test_build_graph_matches_slow_builder_on_dirty_streams(n, seed):
+    rng = np.random.default_rng(seed)
+    edges = sorted(isp_like_graph(n, seed).labeled_edges())
+    picks = rng.integers(len(edges), size=(3, n // 10))
+    dirty = (
+        edges
+        + [edges[i] for i in picks[0]]
+        + [edges[i][::-1] for i in picks[1]]
+        + [(edges[i][0], edges[i][0]) for i in picks[2]]
+    )
+    order = rng.permutation(len(dirty))
+    # a label first seen in a self-loop gets its id from its first real edge
+    pairs = [("loop", "loop")] + [dirty[i] for i in order] + [("r0", "loop")]
+    g = ds.build_graph(pairs)
+    expected = slow_build_graph(pairs)
+    assert g == expected
+    assert g.cleaning == expected.cleaning
+    assert g.cleaning.self_loops == n // 10 + 1
+    assert g.labels[-1] == "loop"
 
 
 def test_grid_node_and_edge_counts():

@@ -7,7 +7,14 @@ import dirspec as ds
 from dirspec.errors import DataError
 from dirspec.ingest import format_cell, tree_node_count
 
-from conftest import path_graph
+from conftest import (
+    path_graph,
+    slow_build_graph,
+    slow_grid_pairs,
+    slow_random_connected,
+    slow_tree_pairs,
+    slow_whisker_pairs,
+)
 
 
 def test_parse_simple_path(tmp_path):
@@ -120,6 +127,35 @@ def test_gen_random_connected_reproducible():
         ds.gen_random_connected(1, 0.5)
     with pytest.raises(DataError):
         ds.gen_random_connected(10, 0.0)
+
+
+def test_generators_match_slow_builder_of_label_pairs():
+    for rows in range(1, 13):
+        for cols in range(1, 13):
+            if rows * cols >= 2:
+                assert ds.gen_grid(rows, cols) == slow_build_graph(slow_grid_pairs(rows, cols))
+    for degree in range(2, 7):
+        for depth in range(1, 5):
+            g = ds.gen_tree(degree, depth)
+            assert g == slow_build_graph(slow_tree_pairs(degree, depth))
+    for args in [(3, 1, 1), (5, 2, 2), (20, 8, 4), (4, 9, 3)]:
+        assert ds.gen_whisker(*args) == slow_build_graph(slow_whisker_pairs(*args))
+
+
+@pytest.mark.parametrize(
+    "n, p, seed",
+    [(60, 0.08, 3), (25, 0.2, 3), (25, 0.2, 4), *[(8, 0.4, s) for s in range(9000, 9010)]],
+)
+def test_gen_random_connected_matches_whole_triangle_draw(n, p, seed):
+    expected, _ = slow_random_connected(n, p, seed)
+    assert ds.gen_random_connected(n, p, seed) == expected
+
+
+@pytest.mark.parametrize("n, p, seed", [(10, 0.15, 0), (2, 0.05, 1)])
+def test_gen_random_connected_redraws_like_whole_triangle_draw(n, p, seed):
+    expected, draws = slow_random_connected(n, p, seed)
+    assert draws > 1
+    assert ds.gen_random_connected(n, p, seed) == expected
 
 
 def test_write_parse_round_trip(tmp_path):

@@ -152,6 +152,18 @@ def test_sector_family_structure():
     assert by_level == {k: 6 - k for k in range(6)}
 
 
+@pytest.mark.parametrize("degree, levels", [(3, 1), (3, 50), (4, 7), (8, 300)])
+def test_sector_family_equals_scalar_loop(degree, levels):
+    expected = [
+        (eigenvalue_from_angle(degree, j * math.pi / (levels + 1 - k)), k)
+        for k in range(levels)
+        for j in range(1, levels - k + 1)
+    ]
+    got = ds.sector_family_eigenvalues(degree, levels)
+    assert got == expected  # exact, value by value
+    assert all(type(v) is float and type(k) is int for v, k in got)
+
+
 def test_symmetric_values_outside_infinite_gap():
     for degree, levels in ((3, 5), (4, 4), (5, 3)):
         spec = ds.tree_spectrum(degree, levels)
