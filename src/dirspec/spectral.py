@@ -9,6 +9,22 @@ eigenvalue is the Dirichlet spectral gap.
 Both operators are sparse and only a few of their smallest eigenpairs are
 usually wanted, so partial solves use shift-inverted Lanczos on a sparse LU
 factor; a dense decomposition is kept for tiny matrices and full spectra.
+
+Lanczos can skip an eigenvalue, so a shift-invert solve must prove that it
+found the smallest ones.  The general proof is an inertia count, a second
+sparse LU.  A one-pair solve of a Z-matrix (every off-diagonal entry <= 0,
+as in both operators here) has a cheaper one.  With c its largest diagonal
+entry, B = cI - A is entrywise nonnegative, and for any entrywise-positive x
+the Collatz-Wielandt bounds min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i
+hold (Horn-Johnson, Matrix Analysis, 8.1.26).  B is symmetric, so rho(B) is
+its largest eigenvalue, c - lambda_min(A), which turns the bounds into
+
+    min_i (Ax)_i/x_i <= lambda_min(A) <= max_i (Ax)_i/x_i.
+
+Irreducibility is not needed.  The computed eigenvector, sign-flipped, is
+such an x whenever it has no zero entry, and then one sparse matvec encloses
+lambda_min.  No eigenvalue lies below the lower end, so when that end is at
+or above the computed eigenvalue minus the tolerance, the solve skipped none.
 """
 
 from __future__ import annotations
@@ -46,6 +62,9 @@ class EigenResult:
     """Ascending eigenvalues with per-pair residual norms and orthonormal eigenvectors.
 
     ``route`` names the solver that produced them: ``"dense"`` or ``"shift-invert"``.
+    ``enclosure`` is the proved interval ``(lo, hi)`` around the smallest
+    eigenvalue when a one-pair shift-invert solve was certified by it (see
+    the module docstring), else None.
     """
 
     eigenvalues: np.ndarray
@@ -53,6 +72,7 @@ class EigenResult:
     residuals: np.ndarray
     tol: float
     route: str
+    enclosure: tuple[float, float] | None = None
 
 
 def build_normalized_laplacian(g: Graph) -> SymmetricMatrix:
@@ -110,6 +130,36 @@ def _count_below(a: sp.csr_matrix, mu: float) -> int:
     return int((lu.U.diagonal() < 0).sum())
 
 
+def _collatz_wielandt(
+    a: sp.csr_matrix, x: np.ndarray, ax: np.ndarray
+) -> tuple[float, float] | None:
+    """Proved bounds ``(lo, hi)`` on the smallest eigenvalue of the symmetric ``a``.
+
+    ``ax`` is the computed product ``a @ x``.  Returns None unless every
+    off-diagonal entry of ``a`` is <= 0 and ``x`` or ``-x`` is entrywise
+    positive.  Row i of the product sums r_i stored entries times x, so it
+    errs by at most gamma(r_i) (|A|x)_i, gamma(r) = r*eps/(1 - r*eps)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.5).  The
+    margin 2 (r_i+2) eps (|A|x)_i also covers the rounding of the margin
+    itself and of the subtraction, one smallest subnormal per term covers
+    underflow, and one ulp outward covers the division.
+    """
+    row_nnz = np.diff(a.indptr)
+    rows = np.repeat(np.arange(a.shape[0]), row_nnz)
+    if (a.data[a.indices != rows] > 0).any():
+        return None
+    if x.sum() < 0:
+        x, ax = -x, -ax
+    if not (x > 0).all():
+        return None
+    terms = row_nnz + 2.0
+    margin = 2 * terms * np.finfo(float).eps * (abs(a) @ x)
+    margin += terms * np.finfo(float).smallest_subnormal
+    lo = np.nextafter(((ax - margin) / x).min(), -np.inf)
+    hi = np.nextafter(((ax + margin) / x).max(), np.inf)
+    return float(lo), float(hi)
+
+
 def smallest_eigenpairs(
     m: SymmetricMatrix, k: int, tol: float = 1e-8, method: str = "auto"
 ) -> EigenResult:
@@ -122,9 +172,16 @@ def smallest_eigenpairs(
     DENSE_LIMIT.  Tiny matrices and full or near-full spectra (``k >= n-1``,
     which Lanczos cannot deliver) take a dense decomposition of only the k
     wanted pairs.  Either route must meet ``tol`` on every residual, else
-    NumericalError reports the measured residual; the shift-invert route must
-    also show, by an inertia count, that it skipped no smaller eigenvalue.
-    ``result.route`` says which route ran.
+    NumericalError reports the measured residual.  The shift-invert route must
+    also prove that it skipped no smaller eigenvalue.  A one-pair solve
+    (``k == 1``) of a Z-matrix whose eigenvector has no zero entry proves it
+    with one sparse matvec: the Collatz-Wielandt enclosure of the module
+    docstring, widened by a rounding margin for the matvec, must have its
+    lower end at or above ``lambda - tol``; ``result.enclosure`` then holds
+    it.  Every other shift-invert solve (``k >= 2``, a vector with zeros,
+    for example on a disconnected interior, a positive off-diagonal entry,
+    or a lower end below ``lambda - tol``) proves it by an inertia count, a
+    second sparse LU.  ``result.route`` says which route ran.
     """
     a = m.matrix
     n = a.shape[0]
@@ -175,7 +232,8 @@ def smallest_eigenpairs(
         vals = vals[order]
         vecs = np.ascontiguousarray(vecs[:, order])
 
-    residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+    avecs = a @ vecs
+    residuals = np.linalg.norm(avecs - vecs * vals, axis=0)
     if (residuals > tol).any():
         raise NumericalError(
             f"{method} eigenpair residual {residuals.max():.3e} exceeds tolerance {tol:.3e}"
@@ -190,7 +248,12 @@ def smallest_eigenpairs(
             f"unexpected spectrum: eigenvalues [{vals[0]:.3e}, {vals[-1]:.3e}] "
             f"outside [{lo:.0e}, 2+{EIGENVALUE_SLACK:.0e}]"
         )
-    if method == "shift-invert":
+    enclosure = None
+    if method == "shift-invert" and k == 1:
+        bounds = _collatz_wielandt(a, vecs[:, 0], avecs[:, 0])
+        if bounds is not None and bounds[0] >= vals[0] - tol:
+            enclosure = bounds
+    if method == "shift-invert" and enclosure is None:
         # Lanczos from one start vector sees one direction per distinct
         # eigenvalue, so it can skip a repeated one.  Each computed value lies
         # within tol of a true one, so every eigenvalue below mu must match a
@@ -203,7 +266,7 @@ def smallest_eigenpairs(
                 f"shift-invert missed eigenvalues: {below} lie below {mu:.6e}, "
                 f"only {found} computed ones do"
             )
-    return EigenResult(vals, vecs, residuals, tol, method)
+    return EigenResult(vals, vecs, residuals, tol, method, enclosure)
 
 
 def spectral_gap(g: Graph, tol: float = 1e-8, use_largest_component: bool = True) -> float:

@@ -2,9 +2,10 @@
 
 The reference functions here deliberately avoid the package's vectorized and
 bitmask code paths: plain BFS over Python sets, subset enumeration with exact
-fractions, and dense LAPACK solves of operators assembled here from edges and
-degrees (never through ``dirspec.spectral``), so the fast implementations are
-checked against an independent route.
+fractions, exact rational Collatz-Wielandt bounds, and dense LAPACK solves of
+operators assembled here from edges and degrees (never through
+``dirspec.spectral``), so the fast implementations are checked against an
+independent route.
 """
 
 from __future__ import annotations
@@ -430,3 +431,51 @@ def slow_radial_tree_spectrum(degree: int, levels: int) -> np.ndarray:
     off = np.full(levels, math.sqrt(degree - 1))
     off[0] = math.sqrt(degree)
     return eigvalsh_tridiagonal(np.ones(levels + 1), -off / degree)
+
+
+def slow_dirichlet_laplacian(g: ds.Graph, interior) -> sp.csr_matrix:
+    """``slow_normalized_laplacian`` restricted to the interior rows and columns."""
+    interior = np.asarray(interior)
+    return slow_normalized_laplacian(g)[interior][:, interior].tocsr()
+
+
+def slow_collatz_wielandt(matrix, x) -> tuple[float, float]:
+    """Bounds on the smallest eigenvalue of a symmetric Z-matrix from a positive vector.
+
+    With every off-diagonal entry <= 0 and x (or -x) entrywise positive,
+    min_i (Ax)_i/x_i <= lambda_min <= max_i (Ax)_i/x_i.  Each ratio is
+    formed exactly with Fractions, row by row over the stored entries, and
+    the two ends are rounded outward to floats.
+    """
+    a = sp.csr_matrix(matrix)
+    x = [Fraction(float(v)) for v in x]
+    if sum(x) < 0:
+        x = [-v for v in x]
+    assert all(v > 0 for v in x), "Collatz-Wielandt needs a sign-definite vector"
+    ratios = []
+    for i in range(a.shape[0]):
+        row = range(a.indptr[i], a.indptr[i + 1])
+        total = Fraction(0)
+        for p in row:
+            j, aij = int(a.indices[p]), Fraction(float(a.data[p]))
+            assert j == i or aij <= 0, f"positive off-diagonal entry at ({i}, {j})"
+            total += aij * x[j]
+        ratios.append(total / x[i])
+    lo, hi = min(ratios), max(ratios)
+    lo_f, hi_f = float(lo), float(hi)
+    if Fraction(lo_f) > lo:
+        lo_f = math.nextafter(lo_f, -math.inf)
+    if Fraction(hi_f) < hi:
+        hi_f = math.nextafter(hi_f, math.inf)
+    return lo_f, hi_f
+
+
+def slow_all_values(spec: ds.TreeSpectrumResult, merge_tol: float = 1e-12) -> np.ndarray:
+    """``TreeSpectrumResult.all_values`` by sorting a Python list and walking it:
+    a value is kept when it exceeds the last kept one by more than merge_tol."""
+    vals = sorted(list(spec.symmetric_eigenvalues) + [v for v, _ in spec.sector_eigenvalues])
+    merged = [vals[0]]
+    for v in vals[1:]:
+        if v - merged[-1] > merge_tol:
+            merged.append(v)
+    return np.array(merged)

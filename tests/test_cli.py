@@ -7,9 +7,10 @@ import pytest
 
 import dirspec as ds
 import dirspec.cli as cli
+from dirspec import spectral
 from dirspec.cli import main, parse_generator_spec
 
-from conftest import slow_eccentricity, slow_grow_rows
+from conftest import isp_like_graph, slow_eccentricity, slow_grow_rows
 
 
 def read_csv(path):
@@ -75,6 +76,27 @@ def test_gap_command_multiple_inputs(tmp_path):
     assert len(rows) == 2
     assert int(rows[0][0]) == 10
     assert int(rows[1][0]) == 9
+
+
+def test_gap_command_factorization_count(tmp_path, monkeypatch):
+    # one LU and one inertia LU for the k=2 traditional solve; the k=1
+    # Dirichlet solve is certified by its enclosure and needs one LU only
+    g = isp_like_graph(400, seed=7)
+    b = ds.resolve_boundary(g, "degree-one")
+    assert ds.is_connected(g) and 0 < len(b.nodes)
+    assert b.interior(g).size > spectral.DENSE_LIMIT
+    ds.write_graph(g, tmp_path / "isp.edges")
+    factored = []
+    real_splu = spectral.splu
+
+    def counting_splu(*args, **kwargs):
+        factored.append(args[0])
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "splu", counting_splu)
+    argv = ["gap", "--input", str(tmp_path / "isp.edges"), "--boundary", "degree-one"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(factored) == 3
 
 
 def test_gap_command_no_interior_exit_code(tmp_path):

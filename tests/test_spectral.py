@@ -7,6 +7,7 @@ import pytest
 
 import dirspec as ds
 from dirspec import spectral
+from dirspec.cli import parse_generator_spec
 from dirspec.errors import DataError, NumericalError
 from dirspec.graph import Graph
 from dirspec.spectral import (
@@ -15,7 +16,13 @@ from dirspec.spectral import (
     smallest_eigenpairs,
 )
 
-from conftest import complete_graph, path_graph, star_graph
+from conftest import (
+    complete_graph,
+    path_graph,
+    slow_collatz_wielandt,
+    slow_dirichlet_laplacian,
+    star_graph,
+)
 
 
 def test_laplacian_k2_exact():
@@ -162,16 +169,19 @@ def test_auto_route_policy():
     assert smallest_eigenpairs(big, 2, method="dense").route == "dense"
 
 
+AGREE_CASES = (
+    (ds.gen_tree(3, 8), "leaves"),
+    (ds.gen_grid(24, 24), "grid-perimeter"),
+    (ds.gen_whisker(30, 20, 25), "degree-one"),
+    (ds.gen_grid(30, 17), "grid-perimeter"),
+    (path_graph(500), "degree-one"),
+)
+
+
 def test_dense_and_iterative_agree():
     # every operator with more than DENSE_LIMIT rows takes the shift-invert route
     cases = []
-    for g, boundary in (
-        (ds.gen_tree(3, 8), "leaves"),
-        (ds.gen_grid(24, 24), "grid-perimeter"),
-        (ds.gen_whisker(30, 20, 25), "degree-one"),
-        (ds.gen_grid(30, 17), "grid-perimeter"),
-        (path_graph(500), "degree-one"),
-    ):
+    for g, boundary in AGREE_CASES:
         cases.append(build_normalized_laplacian(g))
         cases.append(build_dirichlet_laplacian(g, ds.resolve_boundary(g, boundary)))
     nondegenerate = 0
@@ -205,6 +215,140 @@ def test_missed_eigenvalue_raises(monkeypatch):
     m = build_normalized_laplacian(ds.gen_grid(30, 17))
     with pytest.raises(NumericalError, match="missed eigenvalues: 2 lie below .*only 1"):
         smallest_eigenpairs(m, 2)
+
+
+def test_missed_eigenvalue_raises_for_one_pair(monkeypatch):
+    # an eigsh that returns the second pair in place of the first: its vector
+    # changes sign, so no certificate is taken and the inertia count catches it
+    real_eigsh = spectral.eigsh
+
+    def second_pair_eigsh(a, k, **kwargs):
+        vals, vecs = real_eigsh(a, k=k + 1, **kwargs)
+        second = np.argsort(vals)[1:2]
+        return vals[second], vecs[:, second]
+
+    monkeypatch.setattr(spectral, "eigsh", second_pair_eigsh)
+    g = ds.gen_grid(30, 17)
+    m = build_dirichlet_laplacian(g, ds.resolve_boundary(g, "grid-perimeter"))
+    with pytest.raises(NumericalError, match="missed eigenvalues: 1 lie below .*only 0"):
+        smallest_eigenpairs(m, 1)
+
+
+def _count_inertia_calls(monkeypatch) -> list[float]:
+    calls = []
+    real_count_below = spectral._count_below
+
+    def counting(a, mu):
+        calls.append(mu)
+        return real_count_below(a, mu)
+
+    monkeypatch.setattr(spectral, "_count_below", counting)
+    return calls
+
+
+def test_one_pair_certificate_encloses_dirichlet_gap(monkeypatch):
+    calls = _count_inertia_calls(monkeypatch)
+    for g, boundary in AGREE_CASES:
+        m = build_dirichlet_laplacian(g, ds.resolve_boundary(g, boundary))
+        res = smallest_eigenpairs(m, 1)
+        assert res.route == "shift-invert"
+        lo, hi = res.enclosure
+        assert lo <= res.eigenvalues[0] <= hi
+        assert hi - lo <= res.tol
+        dense = smallest_eigenpairs(m, 1, method="dense")
+        assert lo - 1e-12 <= dense.eigenvalues[0] <= hi + 1e-12
+    assert calls == []
+    # the traditional operator keeps the inertia count for its k=2 solves
+    g = AGREE_CASES[0][0]
+    res = smallest_eigenpairs(build_normalized_laplacian(g), 2)
+    assert res.enclosure is None and len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "spec, boundary",
+    [
+        ("grid:100x100", "grid-perimeter"),
+        ("tree:4x7", "leaves"),
+        ("whisker:20x8x4", "degree-one"),
+        ("random:300x0.02", "degree-one"),
+    ],
+)
+def test_collatz_wielandt_oracle_brackets_dirichlet_gap(spec, boundary):
+    g = parse_generator_spec(spec, seed=3)
+    b = ds.resolve_boundary(g, boundary)
+    interior = b.interior(g)
+    assert 0 < interior.size < g.node_count
+    a = slow_dirichlet_laplacian(g, interior)
+    if spec.startswith("grid"):
+        # every interior node has degree 4, so A = I - (P (x) I + I (x) P)/4
+        # for the path P on 98 nodes, and its minimum needs only P's top
+        path = np.eye(98, k=1) + np.eye(98, k=-1)
+        dense_min = 1.0 - np.linalg.eigvalsh(path)[-1] / 2
+    else:
+        dense_min = float(np.linalg.eigvalsh(a.toarray())[0])
+    res = smallest_eigenpairs(build_dirichlet_laplacian(g, b), 1)
+    lo, hi = slow_collatz_wielandt(a, res.eigenvectors[:, 0])
+    assert lo <= dense_min + 1e-12 and dense_min - 1e-12 <= hi
+    assert lo <= ds.dirichlet_gap(g, b) <= hi
+    assert hi - lo <= 1e-12
+    if res.enclosure is not None:
+        assert res.enclosure[0] <= lo and hi <= res.enclosure[1]
+
+
+def test_disconnected_interior_falls_back_to_inertia_count(monkeypatch):
+    # a boundary node at 200 splits the interior of a path in two; the ground
+    # state lives on the longer piece and is rounding noise on the other
+    g = path_graph(500)
+    b = ds.resolve_boundary(g, "explicit-list", explicit=[0, 200, 499])
+    m = build_dirichlet_laplacian(g, b)
+    calls = _count_inertia_calls(monkeypatch)
+    res = smallest_eigenpairs(m, 1)
+    assert res.route == "shift-invert"
+    assert res.enclosure is None
+    assert len(calls) == 1
+    dense = smallest_eigenpairs(m, 1, method="dense")
+    assert abs(res.eigenvalues[0] - dense.eigenvalues[0]) <= 1e-10
+
+
+def test_positive_vector_of_wrong_component_raises(monkeypatch):
+    # on a split interior, an eigsh that returns the ground state of the
+    # shorter piece, plus 1e-12 times that of the longer one: the vector is
+    # positive and meets its residual, but its enclosure's lower end is the
+    # longer piece's smaller eigenvalue, so the inertia count must run
+    g = path_graph(500)
+    b = ds.resolve_boundary(g, "explicit-list", explicit=[0, 200, 499])
+    m = build_dirichlet_laplacian(g, b)
+    dense = m.matrix.toarray()
+    short, long = np.arange(199), np.arange(199, m.n)
+    short_val, short_vecs = np.linalg.eigh(dense[np.ix_(short, short)])
+    long_val, long_vecs = np.linalg.eigh(dense[np.ix_(long, long)])
+    assert long_val[0] < short_val[0] - 1e-6
+    x = np.empty(m.n)
+    x[short] = np.abs(short_vecs[:, 0])
+    x[long] = 1e-12 * np.abs(long_vecs[:, 0])
+    x /= np.linalg.norm(x)
+    monkeypatch.setattr(spectral, "eigsh", lambda a, k, **kw: (short_val[:1], x[:, None]))
+    calls = _count_inertia_calls(monkeypatch)
+    with pytest.raises(NumericalError, match="missed eigenvalues: 1 lie below .*only 0"):
+        smallest_eigenpairs(m, 1)
+    assert len(calls) == 1
+
+
+def test_positive_off_diagonal_falls_back_to_inertia_count(monkeypatch):
+    # one flipped edge pair makes the matrix no Z-matrix: its ground state is
+    # still sign-definite, but Collatz-Wielandt no longer applies
+    g = ds.gen_grid(12, 12)
+    a = build_dirichlet_laplacian(g, ds.resolve_boundary(g, "grid-perimeter")).matrix.tolil()
+    a[0, 1] = a[1, 0] = 0.05
+    m = spectral.SymmetricMatrix(a.tocsr(), np.arange(a.shape[0]))
+    assert m.n > spectral.DENSE_LIMIT
+    calls = _count_inertia_calls(monkeypatch)
+    res = smallest_eigenpairs(m, 1)
+    assert res.route == "shift-invert"
+    assert res.enclosure is None
+    assert len(calls) == 1
+    x = res.eigenvectors[:, 0]
+    assert (x > 0).all() or (x < 0).all()
 
 
 def test_unreachable_tolerance_raises_with_residual():
