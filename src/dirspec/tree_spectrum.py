@@ -187,30 +187,15 @@ class TreeSpectrumResult:
     sector_eigenvalues: tuple[tuple[float, int], ...]
 
     def all_values(self, merge_tol: float = 1e-12) -> np.ndarray:
-        """Sorted distinct eigenvalue values across both families.
-
-        Walking up the sorted values, a value is kept when it exceeds the
-        last kept one by more than merge_tol.  A value that exceeds its
-        predecessor by that much is always kept, since the last kept value
-        is no larger than the predecessor, so the walk is needed only
-        inside runs of closer values whose whole span exceeds merge_tol.
-        """
-        sector = np.fromiter(
-            (v for v, _ in self.sector_eigenvalues), float, len(self.sector_eigenvalues)
+        """Sorted distinct eigenvalue values across both families."""
+        vals = sorted(
+            list(self.symmetric_eigenvalues) + [v for v, _ in self.sector_eigenvalues]
         )
-        vals = np.sort(np.concatenate([self.symmetric_eigenvalues, sector]))
-        keep = np.empty(vals.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(vals) > merge_tol
-        starts = np.flatnonzero(keep)
-        ends = np.append(starts[1:], vals.size)
-        wide = vals[ends - 1] - vals[starts] > merge_tol
-        for s, e in zip(starts[wide], ends[wide]):
-            last = vals[s]
-            for i in range(s + 1, e):
-                if vals[i] - last > merge_tol:
-                    keep[i], last = True, vals[i]
-        return vals[keep]
+        merged = [vals[0]]
+        for v in vals[1:]:
+            if v - merged[-1] > merge_tol:
+                merged.append(v)
+        return np.array(merged)
 
 
 def tree_spectrum(degree: int, levels: int) -> TreeSpectrumResult:

@@ -468,14 +468,3 @@ def slow_collatz_wielandt(matrix, x) -> tuple[float, float]:
     if Fraction(hi_f) < hi:
         hi_f = math.nextafter(hi_f, math.inf)
     return lo_f, hi_f
-
-
-def slow_all_values(spec: ds.TreeSpectrumResult, merge_tol: float = 1e-12) -> np.ndarray:
-    """``TreeSpectrumResult.all_values`` by sorting a Python list and walking it:
-    a value is kept when it exceeds the last kept one by more than merge_tol."""
-    vals = sorted(list(spec.symmetric_eigenvalues) + [v for v, _ in spec.sector_eigenvalues])
-    merged = [vals[0]]
-    for v in vals[1:]:
-        if v - merged[-1] > merge_tol:
-            merged.append(v)
-    return np.array(merged)

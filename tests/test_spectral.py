@@ -286,13 +286,15 @@ def test_collatz_wielandt_oracle_brackets_dirichlet_gap(spec, boundary):
         dense_min = 1.0 - np.linalg.eigvalsh(path)[-1] / 2
     else:
         dense_min = float(np.linalg.eigvalsh(a.toarray())[0])
-    res = smallest_eigenpairs(build_dirichlet_laplacian(g, b), 1)
+    # whisker:20x8x4 is small enough for the dense route by default; the
+    # certificate is taken only by shift-invert, so every case forces it
+    res = smallest_eigenpairs(build_dirichlet_laplacian(g, b), 1, method="shift-invert")
     lo, hi = slow_collatz_wielandt(a, res.eigenvectors[:, 0])
     assert lo <= dense_min + 1e-12 and dense_min - 1e-12 <= hi
     assert lo <= ds.dirichlet_gap(g, b) <= hi
     assert hi - lo <= 1e-12
-    if res.enclosure is not None:
-        assert res.enclosure[0] <= lo and hi <= res.enclosure[1]
+    assert res.enclosure is not None
+    assert res.enclosure[0] <= lo and hi <= res.enclosure[1]
 
 
 def test_disconnected_interior_falls_back_to_inertia_count(monkeypatch):

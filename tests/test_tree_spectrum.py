@@ -11,7 +11,7 @@ from dirspec.errors import DataError, NumericalError
 from dirspec.spectral import build_dirichlet_laplacian, smallest_eigenpairs
 from dirspec.tree_spectrum import _eig_condition, eigenvalue_from_angle
 
-from conftest import slow_all_values, slow_radial_tree_spectrum
+from conftest import slow_radial_tree_spectrum
 
 # depths at which a fixed 1e-12 residual guard rejected the family's largest roots
 DEEP_CASES = ((3, 2000), (4, 2000), (5, 700), (6, 700), (8, 300), (10, 300))
@@ -182,28 +182,6 @@ def test_full_spectrum_set_agreement_small():
         dense = smallest_eigenpairs(m, m.n).eigenvalues
         assert max(min(abs(v - dense)) for v in values) <= 1e-8
         assert max(min(abs(x - values)) for x in dense) <= 1e-8
-
-
-@pytest.mark.parametrize(
-    "degree, levels",
-    [(3, 1), (3, 2), (3, 50), (3, 2000), (4, 7), (4, 300), (5, 40), (5, 200), (6, 3), (6, 150)],
-)
-def test_all_values_matches_slow_merge(degree, levels):
-    spec = ds.tree_spectrum(degree, levels)
-    assert np.array_equal(spec.all_values(), slow_all_values(spec))
-
-
-def test_all_values_walks_close_runs():
-    # runs of values closer than merge_tol whose span exceeds it: the last
-    # kept value, not the predecessor, decides
-    spec = ds.tree_spectrum(4, 60)
-    for tol in (1e-9, 1e-4, 1e-2, 0.3):
-        assert np.array_equal(spec.all_values(tol), slow_all_values(spec, tol))
-    chain = ds.TreeSpectrumResult(
-        3, 1, np.zeros(0), np.array([0.0, 6e-13, 1.2e-12, 1.8e-12, 2.4e-12]), ((1.0, 0),)
-    )
-    assert chain.all_values().tolist() == [0.0, 1.2e-12, 2.4e-12, 1.0]
-    assert np.array_equal(chain.all_values(), slow_all_values(chain))
 
 
 def test_eigenvalue_from_angle_range():
