@@ -26,7 +26,6 @@ from .graph import (
     Graph,
     distances_from,
     induced_subgraph,
-    is_connected,
     largest_component,
     one_median,
     resolve_boundary,
@@ -77,10 +76,12 @@ def _load_graph(args, path: str | None = None) -> Graph:
         g = parse_generator_spec(args.gen, args.seed)
     else:
         raise UsageError("provide --input or --gen")
-    if not is_connected(g) and not args.keep_disconnected:
+    if args.keep_disconnected:
+        return g
+    largest = largest_component(g)
+    if largest is not g:
         print("note: input disconnected; using largest component", file=sys.stderr)
-        g = largest_component(g)
-    return g
+    return largest
 
 
 def _outpath(args, name: str) -> str:
@@ -193,13 +194,7 @@ def cmd_cluster_sweep(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, with_boundary: bool = True) -> None:
     p.add_argument("--tol", type=float, default=1e-8, help="eigensolver tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed for random generators")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument(
-        "--keep-disconnected",
-        action="store_true",
-        help="do not reduce disconnected inputs to their largest component",
-    )
     if with_boundary:
         p.add_argument("--boundary", choices=CLI_BOUNDARIES, default="degree-one")
 
@@ -213,6 +208,12 @@ def _add_source(p: argparse.ArgumentParser, multiple: bool = False) -> None:
         help="edge-list file(s)",
     )
     p.add_argument("--gen", default=None, metavar="SPEC", help="generator spec, e.g. grid:100x100")
+    p.add_argument("--seed", type=int, default=0, help="seed for random generators")
+    p.add_argument(
+        "--keep-disconnected",
+        action="store_true",
+        help="do not reduce disconnected inputs to their largest component",
+    )
 
 
 def build_parser() -> _Parser:
@@ -221,7 +222,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="write a generated graph as an edge list")
     p.add_argument("spec", help="tree:DxL | grid:RxC | whisker:KxWxL | random:NxP")
-    _add_common(p, with_boundary=False)
+    p.add_argument("--seed", type=int, default=0, help="seed for random generators")
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("gap", help="spectral gaps of one or more graphs")

@@ -9,7 +9,6 @@ methods size-for-size and aggregates the comparison.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,8 +23,6 @@ from .spectral import (
     build_normalized_laplacian,
     smallest_eigenpairs,
 )
-
-logger = logging.getLogger(__name__)
 
 KMEANS_MAX_ROUNDS = 100
 
@@ -91,7 +88,6 @@ class SweepReport:
     avg_dh: float
     avg_ct: float
     avg_ht: float
-    skipped_sizes: tuple[int, ...]
 
 
 def embed(m: SymmetricMatrix, tol: float = 1e-8) -> Embedding:
@@ -216,10 +212,11 @@ def sweep(
     """Full cut-size sweep comparing boundary-conditioned and traditional cuts.
 
     For each interior prefix, the boundary is reattached and the resulting
-    size is matched by a traditional prefix cut of the same size; duplicate
-    sizes keep the first occurrence.
+    size is matched by a traditional prefix cut of the same size.  Each
+    prefix adds one interior node and reattachment only adds boundary nodes,
+    so the sizes strictly grow from at least 1 to at most n-1, one row per
+    prefix; ``sizes`` keeps only the rows of the listed sizes.
     """
-    n = g.node_count
     interior = b.interior(g)
     if interior.size < 2:
         raise DataError("sweep requires at least two interior nodes")
@@ -230,26 +227,15 @@ def sweep(
     wanted = set(int(s) for s in sizes) if sizes is not None else None
     rows: list[SweepRow] = []
     cuts: list[NodeSet] = []
-    seen: set[int] = set()
-    skipped: list[int] = []
     for j in range(1, interior.size):
         cut = reattach_boundary(g, b, order_d[:j])
         k = len(cut)
-        if k == 0 or k == n:
-            skipped.append(k)
-            continue
-        if k in seen:
-            skipped.append(k)
-            continue
-        seen.add(k)
         if wanted is not None and k not in wanted:
             continue
         d_rec = evaluate_cut(g, cut, "dirichlet")
         t_rec = evaluate_cut(g, order_t[:k], "traditional")
         rows.append(SweepRow(k=k, h_d=d_rec.h, c_d=d_rec.c, h_t=t_rec.h, c_t=t_rec.c))
         cuts.append(d_rec.nodes)
-    if skipped:
-        logger.debug("sweep skipped duplicate/degenerate sizes: %s", skipped)
     if not rows:
         raise DataError("sweep produced no cuts (size filter too strict?)")
 
@@ -277,7 +263,6 @@ def sweep(
         avg_dh=sum(r.h_d - r.h_t for r in rows) / count,
         avg_ct=sum(r.c_t for r in rows) / count,
         avg_ht=sum(r.h_t for r in rows) / count,
-        skipped_sizes=tuple(skipped),
     )
 
 

@@ -157,8 +157,6 @@ def format_cell(value) -> str:
     """One CSV cell: floats at 6 significant digits, None as empty."""
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

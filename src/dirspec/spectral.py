@@ -9,6 +9,7 @@ eigenvalue is the Dirichlet spectral gap.
 Both operators are sparse and only a few of their smallest eigenpairs are
 usually wanted, so partial solves use shift-inverted Lanczos on a sparse LU
 factor; a dense decomposition is kept for tiny matrices and full spectra.
+The matrix size and the number of wanted pairs alone pick the route.
 
 Lanczos can skip an eigenvalue, so a shift-invert solve must prove that it
 found the smallest ones.  The general proof is an inertia count, a second
@@ -37,7 +38,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
 from .errors import DataError, NumericalError
-from .graph import BoundarySpec, Graph, is_connected, largest_component
+from .graph import BoundarySpec, Graph, largest_component
 
 DENSE_LIMIT = 64  # below this, a dense decomposition beats factor-and-iterate
 SHIFT = -1e-4
@@ -160,15 +161,13 @@ def _collatz_wielandt(
     return float(lo), float(hi)
 
 
-def smallest_eigenpairs(
-    m: SymmetricMatrix, k: int, tol: float = 1e-8, method: str = "auto"
-) -> EigenResult:
+def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenResult:
     """The k algebraically smallest eigenpairs, with verified residuals.
 
-    ``method="auto"`` picks one of two routes.  Shift-inverted Lanczos
-    (ARPACK mode 3) factors the positive definite ``A - SHIFT*I`` once with a
-    minimum-degree ordering and starts from a fixed vector, so repeated runs
-    are deterministic; it serves every partial solve (``k < n-1``) above
+    The matrix size and k alone pick one of two routes.  Shift-inverted
+    Lanczos (ARPACK mode 3) factors the positive definite ``A - SHIFT*I`` once
+    with a minimum-degree ordering and starts from a fixed vector, so repeated
+    runs are deterministic; it serves every partial solve (``k < n-1``) above
     DENSE_LIMIT.  Tiny matrices and full or near-full spectra (``k >= n-1``,
     which Lanczos cannot deliver) take a dense decomposition of only the k
     wanted pairs.  Either route must meet ``tol`` on every residual, else
@@ -189,17 +188,12 @@ def smallest_eigenpairs(
         raise DataError(f"need 1 <= k <= {n}, got k={k}")
     if tol <= 0:
         raise DataError("tolerance must be positive")
-    if method == "auto":
-        method = "dense" if n <= DENSE_LIMIT or k >= n - 1 else "shift-invert"
-    if method not in ("dense", "shift-invert"):
-        raise DataError(f"unknown eigensolver method: {method!r}")
+    route = "dense" if n <= DENSE_LIMIT or k >= n - 1 else "shift-invert"
 
-    if method == "dense":
+    if route == "dense":
         vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, k - 1])
         vecs = np.ascontiguousarray(vecs)
     else:
-        if k >= n - 1:
-            raise DataError("shift-invert route requires k < n-1; use method='dense'")
         lu = _factor(a, SHIFT)
         op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         # fixed seed for repeatable runs; positive, so it overlaps every Perron
@@ -236,7 +230,7 @@ def smallest_eigenpairs(
     residuals = np.linalg.norm(avecs - vecs * vals, axis=0)
     if (residuals > tol).any():
         raise NumericalError(
-            f"{method} eigenpair residual {residuals.max():.3e} exceeds tolerance {tol:.3e}"
+            f"{route} eigenpair residual {residuals.max():.3e} exceeds tolerance {tol:.3e}"
         )
     gram = vecs.T @ vecs
     ortho_err = np.abs(gram - np.eye(k)).max()
@@ -249,11 +243,11 @@ def smallest_eigenpairs(
             f"outside [{lo:.0e}, 2+{EIGENVALUE_SLACK:.0e}]"
         )
     enclosure = None
-    if method == "shift-invert" and k == 1:
+    if route == "shift-invert" and k == 1:
         bounds = _collatz_wielandt(a, vecs[:, 0], avecs[:, 0])
         if bounds is not None and bounds[0] >= vals[0] - tol:
             enclosure = bounds
-    if method == "shift-invert" and enclosure is None:
+    if route == "shift-invert" and enclosure is None:
         # Lanczos from one start vector sees one direction per distinct
         # eigenvalue, so it can skip a repeated one.  Each computed value lies
         # within tol of a true one, so every eigenvalue below mu must match a
@@ -266,7 +260,7 @@ def smallest_eigenpairs(
                 f"shift-invert missed eigenvalues: {below} lie below {mu:.6e}, "
                 f"only {found} computed ones do"
             )
-    return EigenResult(vals, vecs, residuals, tol, method, enclosure)
+    return EigenResult(vals, vecs, residuals, tol, route, enclosure)
 
 
 def spectral_gap(g: Graph, tol: float = 1e-8, use_largest_component: bool = True) -> float:
@@ -275,7 +269,7 @@ def spectral_gap(g: Graph, tol: float = 1e-8, use_largest_component: bool = True
     Disconnected graphs are reduced to their largest component first unless
     the caller opts out, in which case a zero second eigenvalue is an error.
     """
-    if use_largest_component and not is_connected(g):
+    if use_largest_component:
         g = largest_component(g)
     res = smallest_eigenpairs(build_normalized_laplacian(g), k=2, tol=tol)
     if abs(res.eigenvalues[0]) > 1e-10 or res.eigenvalues[1] <= 1e-10:

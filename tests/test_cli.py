@@ -187,6 +187,21 @@ def test_tree_converge_usage_errors(tmp_path, capsys, flags):
     assert not (tmp_path / "tree_converge.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree-converge", "--degree", "3", "--max-levels", "5", "--seed", "1"],
+        ["tree-converge", "--degree", "3", "--max-levels", "5", "--keep-disconnected"],
+        ["gen", "tree:3x4", "--tol", "1e-9"],
+        ["gen", "tree:3x4", "--keep-disconnected"],
+    ],
+)
+def test_flags_a_command_never_reads_are_usage_errors(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert "usage error: unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_grow_command_grid(tmp_path):
     rc = main(["grow", "--gen", "grid:15x15", "--out", str(tmp_path)])
     assert rc == 0

@@ -176,6 +176,12 @@ def test_sweep_rows_internally_consistent():
     for g, policy in _sweep_cases():
         b = _quiet_boundary(g, policy)
         full = sweep(g, b)
+        # one row per interior prefix, sizes strictly growing inside [1, n-1]:
+        # no size can repeat or cover none or all of the graph
+        ks = [r.k for r in full.rows]
+        assert len(ks) == b.interior(g).size - 1
+        assert all(a < c for a, c in zip(ks, ks[1:]))
+        assert 1 <= ks[0] and ks[-1] <= g.node_count - 1
         some = sweep(g, b, sizes=[r.k for r in full.rows[::2]])
         assert some.rows == full.rows[::2]
         assert some.dirichlet_cuts == full.dirichlet_cuts[::2]

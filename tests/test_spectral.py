@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dirspec as ds
 from dirspec import spectral
@@ -116,8 +117,6 @@ def test_smallest_eigenpairs_validation():
         smallest_eigenpairs(m, 4)
     with pytest.raises(DataError):
         smallest_eigenpairs(m, 1, tol=0.0)
-    with pytest.raises(DataError):
-        smallest_eigenpairs(m, 1, method="magic")
 
 
 def test_eigen_contract_residuals_orthonormality():
@@ -166,7 +165,6 @@ def test_auto_route_policy():
     assert big.n == 1457
     for k in (1, 2):
         assert smallest_eigenpairs(big, k).route == "shift-invert"
-    assert smallest_eigenpairs(big, 2, method="dense").route == "dense"
 
 
 AGREE_CASES = (
@@ -187,14 +185,15 @@ def test_dense_and_iterative_agree():
     nondegenerate = 0
     for m in cases:
         assert m.n > 64
-        dense = smallest_eigenpairs(m, 3, method="dense")
-        it = smallest_eigenpairs(m, 2, method="shift-invert")
-        assert np.abs(dense.eigenvalues[:2] - it.eigenvalues).max() <= 1e-7
-        if dense.eigenvalues[2] - dense.eigenvalues[1] > 1e-6:
+        dense_vals, dense_vecs = scipy.linalg.eigh(m.matrix.toarray(), subset_by_index=[0, 2])
+        it = smallest_eigenpairs(m, 2)
+        assert it.route == "shift-invert"
+        assert np.abs(dense_vals[:2] - it.eigenvalues).max() <= 1e-7
+        if dense_vals[2] - dense_vals[1] > 1e-6:
             # a unique 2-dimensional eigenspace: both routes must span it, so
             # the cosines of the principal angles between their spans are 1
             nondegenerate += 1
-            overlap = dense.eigenvectors[:, :2].T @ it.eigenvectors
+            overlap = dense_vecs[:, :2].T @ it.eigenvectors
             cosines = np.linalg.svd(overlap, compute_uv=False)
             assert np.abs(cosines - 1).max() <= 1e-8
     assert nondegenerate >= 4
@@ -255,8 +254,8 @@ def test_one_pair_certificate_encloses_dirichlet_gap(monkeypatch):
         lo, hi = res.enclosure
         assert lo <= res.eigenvalues[0] <= hi
         assert hi - lo <= res.tol
-        dense = smallest_eigenpairs(m, 1, method="dense")
-        assert lo - 1e-12 <= dense.eigenvalues[0] <= hi + 1e-12
+        dense = np.linalg.eigvalsh(m.matrix.toarray())[0]
+        assert lo - 1e-12 <= dense <= hi + 1e-12
     assert calls == []
     # the traditional operator keeps the inertia count for its k=2 solves
     g = AGREE_CASES[0][0]
@@ -273,7 +272,7 @@ def test_one_pair_certificate_encloses_dirichlet_gap(monkeypatch):
         ("random:300x0.02", "degree-one"),
     ],
 )
-def test_collatz_wielandt_oracle_brackets_dirichlet_gap(spec, boundary):
+def test_collatz_wielandt_oracle_brackets_dirichlet_gap(monkeypatch, spec, boundary):
     g = parse_generator_spec(spec, seed=3)
     b = ds.resolve_boundary(g, boundary)
     interior = b.interior(g)
@@ -288,7 +287,9 @@ def test_collatz_wielandt_oracle_brackets_dirichlet_gap(spec, boundary):
         dense_min = float(np.linalg.eigvalsh(a.toarray())[0])
     # whisker:20x8x4 is small enough for the dense route by default; the
     # certificate is taken only by shift-invert, so every case forces it
-    res = smallest_eigenpairs(build_dirichlet_laplacian(g, b), 1, method="shift-invert")
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+    res = smallest_eigenpairs(build_dirichlet_laplacian(g, b), 1)
+    assert res.route == "shift-invert"
     lo, hi = slow_collatz_wielandt(a, res.eigenvectors[:, 0])
     assert lo <= dense_min + 1e-12 and dense_min - 1e-12 <= hi
     assert lo <= ds.dirichlet_gap(g, b) <= hi
@@ -308,8 +309,8 @@ def test_disconnected_interior_falls_back_to_inertia_count(monkeypatch):
     assert res.route == "shift-invert"
     assert res.enclosure is None
     assert len(calls) == 1
-    dense = smallest_eigenpairs(m, 1, method="dense")
-    assert abs(res.eigenvalues[0] - dense.eigenvalues[0]) <= 1e-10
+    dense = np.linalg.eigvalsh(m.matrix.toarray())[0]
+    assert abs(res.eigenvalues[0] - dense) <= 1e-10
 
 
 def test_positive_vector_of_wrong_component_raises(monkeypatch):
