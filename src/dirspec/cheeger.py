@@ -98,15 +98,15 @@ def _minimum_ratio_subset(
     return best_e, best_den, best_mask
 
 
-def brute_force_cheeger_constant(g: Graph, max_n: int = BRUTE_FORCE_CAP) -> CheegerReport:
+def brute_force_cheeger_constant(g: Graph) -> CheegerReport:
     """Exact minimum Cheeger ratio over all nonempty proper subsets.
 
     Enumeration is 2^n; ties break to the lexicographically smallest
-    membership sequence.
+    membership sequence.  Graphs above BRUTE_FORCE_CAP nodes are refused.
     """
     n = g.node_count
-    if n > max_n:
-        raise DataError(f"graph too large for brute force ({n} > {max_n})")
+    if n > BRUTE_FORCE_CAP:
+        raise DataError(f"graph too large for brute force ({n} > {BRUTE_FORCE_CAP})")
     nodes = list(range(n))
     total_vol = 2 * g.edge_count
     # the full set is the one subset with min(vol, total - vol) == 0
@@ -122,16 +122,14 @@ def brute_force_cheeger_constant(g: Graph, max_n: int = BRUTE_FORCE_CAP) -> Chee
     )
 
 
-def brute_force_local_cheeger_constant(
-    g: Graph, b: BoundarySpec, max_n: int = BRUTE_FORCE_CAP
-) -> CheegerReport:
+def brute_force_local_cheeger_constant(g: Graph, b: BoundarySpec) -> CheegerReport:
     """Exact minimum local ratio over all nonempty subsets of the interior."""
     interior = [int(v) for v in b.interior(g)]
     m = len(interior)
     if m == 0:
         raise DataError("empty interior")
-    if m > max_n:
-        raise DataError(f"interior too large for brute force ({m} > {max_n})")
+    if m > BRUTE_FORCE_CAP:
+        raise DataError(f"interior too large for brute force ({m} > {BRUTE_FORCE_CAP})")
     # positions are interior nodes, so only interior-interior edges are inside
     cut, den, mask = _minimum_ratio_subset(
         [int(g.degree[v]) for v in interior],

@@ -23,6 +23,7 @@ import numpy as np
 from . import clustering, ingest
 from .errors import DataError, DirspecError, NumericalError
 from .graph import (
+    BoundarySpec,
     Graph,
     distances_from,
     induced_subgraph,
@@ -84,6 +85,12 @@ def _load_graph(args, path: str | None = None) -> Graph:
     return largest
 
 
+def _dirichlet_cell(g: Graph, b: BoundarySpec, tol: float) -> float | None:
+    """The Dirichlet gap, or None (an empty cell) for an empty boundary: the operator
+    is then the full Laplacian, whose exact 0 would print as rounding noise."""
+    return dirichlet_gap(g, b, tol=tol) if b.nodes else None
+
+
 def _outpath(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -108,8 +115,8 @@ def cmd_gap(args) -> int:
                 g.node_count,
                 g.edge_count,
                 len(b.nodes),
-                spectral_gap(g, tol=args.tol, use_largest_component=not args.keep_disconnected),
-                dirichlet_gap(g, b, tol=args.tol),
+                spectral_gap(g, tol=args.tol),
+                _dirichlet_cell(g, b, tol=args.tol),
             )
         )
     path = _outpath(args, "gap.csv")
@@ -152,7 +159,7 @@ def cmd_grow(args) -> int:
             pass
         try:
             b = resolve_boundary(sub, "radius-cut", parent=g, parent_nodes=members)
-            diri = dirichlet_gap(sub, b, tol=args.tol)
+            diri = _dirichlet_cell(sub, b, tol=args.tol)
         except DirspecError:
             pass
         rows.append((radius, sub.node_count, trad, diri))

@@ -44,15 +44,23 @@ def parse_edge_list(path: str | os.PathLike) -> Graph:
 
 
 def tree_node_count(degree: int, depth: int) -> int:
-    """Node count of the regular tree produced by :func:`gen_tree`."""
+    """Node count of the regular tree produced by :func:`gen_tree`, or SIZE_GUARD + 1
+    for any larger tree: level sizes are summed only up to the guard, so a deep
+    tree never builds (degree-1)**depth, an integer of unbounded size."""
     if degree == 2:
-        return 1 + 2 * depth
-    return 1 + degree * ((degree - 1) ** depth - 1) // (degree - 2)
+        return min(1 + 2 * depth, SIZE_GUARD + 1)
+    n, level = 1, degree
+    for _ in range(depth):
+        n += level
+        if n > SIZE_GUARD:
+            return SIZE_GUARD + 1
+        level *= degree - 1
+    return n
 
 
 def _check_size(n: int) -> None:
     if n > SIZE_GUARD:
-        raise DataError(f"generator output too large ({n} nodes > {SIZE_GUARD})")
+        raise DataError(f"generator output too large (more than {SIZE_GUARD} nodes)")
 
 
 def gen_tree(degree: int, depth: int) -> Graph:

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
 from .errors import DataError, NumericalError
-from .graph import BoundarySpec, Graph, largest_component
+from .graph import BoundarySpec, Graph
 
 DENSE_LIMIT = 64  # below this, a dense decomposition beats factor-and-iterate
 SHIFT = -1e-4
@@ -263,14 +263,12 @@ def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenR
     return EigenResult(vals, vecs, residuals, tol, route, enclosure)
 
 
-def spectral_gap(g: Graph, tol: float = 1e-8, use_largest_component: bool = True) -> float:
-    """Second-smallest eigenvalue of the normalized Laplacian.
+def spectral_gap(g: Graph, tol: float = 1e-8) -> float:
+    """Second-smallest eigenvalue of the normalized Laplacian of a connected graph.
 
-    Disconnected graphs are reduced to their largest component first unless
-    the caller opts out, in which case a zero second eigenvalue is an error.
+    A disconnected graph has a zero second eigenvalue, which is an error;
+    ``largest_component`` reduces one first.
     """
-    if use_largest_component:
-        g = largest_component(g)
     res = smallest_eigenpairs(build_normalized_laplacian(g), k=2, tol=tol)
     if abs(res.eigenvalues[0]) > 1e-10 or res.eigenvalues[1] <= 1e-10:
         raise NumericalError(

@@ -57,8 +57,6 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 
-MERGE_TOL = 1e-12
-
 
 def infinite_tree_gap(degree: int) -> float:
     """Spectral gap of the infinite regular tree: 1 - (2/d) sqrt(d-1)."""
@@ -151,44 +149,34 @@ def dirichlet_gap_analytic(degree: int, levels: int) -> float:
     return eigenvalue_from_angle(degree, root)
 
 
-def sector_family_eigenvalues(degree: int, levels: int) -> list[tuple[float, int]]:
-    """Eigenvalues of the families vanishing above a level-k node, as (value, k).
+def sector_family_eigenvalues(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the families vanishing above a level-k node, as arrays (values, k).
 
-    For each k in 0..levels-1 the angles are j*pi/(levels+1-k), j = 1..levels-k.
+    For k = 0..levels-1 in turn the angles are j*pi/(levels+1-k), j = 1..levels-k.
     """
     _check_family_args(degree, levels)
     k, col = np.triu_indices(levels)  # k ascending, then j = col - k + 1 ascending
     angles = (col - k + 1) * math.pi / (levels + 1 - k)
     # the operations of eigenvalue_from_angle, in its order
     values = 1.0 - 2.0 * math.sqrt(degree - 1) / degree * np.cos(angles)
-    return list(zip(values.tolist(), k.tolist()))
+    return values, k
 
 
 @dataclass(frozen=True)
 class TreeSpectrumResult:
-    """Complete analytic eigenvalue inventory for one (degree, levels) tree."""
+    """Complete analytic eigenvalue inventory for one (degree, levels) tree; the
+    sector fields are the arrays (values, k) of sector_family_eigenvalues."""
 
     degree: int
     levels: int
     symmetric_angles: np.ndarray
     symmetric_eigenvalues: np.ndarray
-    sector_eigenvalues: tuple[tuple[float, int], ...]
-
-    def all_values(self) -> np.ndarray:
-        """Sorted distinct eigenvalue values across both families; a value at
-        most MERGE_TOL above the last one kept counts as a repeat."""
-        vals = sorted(
-            list(self.symmetric_eigenvalues) + [v for v, _ in self.sector_eigenvalues]
-        )
-        merged = [vals[0]]
-        for v in vals[1:]:
-            if v - merged[-1] > MERGE_TOL:
-                merged.append(v)
-        return np.array(merged)
+    sector_eigenvalues: np.ndarray
+    sector_levels: np.ndarray
 
 
 def tree_spectrum(degree: int, levels: int) -> TreeSpectrumResult:
     angles = symmetric_family_roots(degree, levels)
     sym_vals = np.array([eigenvalue_from_angle(degree, a) for a in angles])
-    sectors = tuple(sector_family_eigenvalues(degree, levels))
-    return TreeSpectrumResult(degree, levels, angles, sym_vals, sectors)
+    sector_vals, sector_levels = sector_family_eigenvalues(degree, levels)
+    return TreeSpectrumResult(degree, levels, angles, sym_vals, sector_vals, sector_levels)

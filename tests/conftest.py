@@ -272,7 +272,9 @@ def slow_radius_cut(sub: ds.Graph, parent: ds.Graph, members) -> frozenset[int]:
 def slow_grow_rows(g: ds.Graph, tol: float = 1e-8) -> list[tuple]:
     """``grow`` rows composed from the slow references: the 1-median by
     argmin of ``slow_distance_sums``, balls by ``slow_ball``, label round-trip
-    subgraphs and the label-based radius cut."""
+    subgraphs and the label-based radius cut.  An empty radius cut leaves the
+    Dirichlet cell empty, as ``grow`` does: the operator is then the full
+    Laplacian, whose smallest eigenvalue is 0."""
     sums = slow_distance_sums(g)
     center = sums.index(min(sums))
     rows = []
@@ -285,7 +287,7 @@ def slow_grow_rows(g: ds.Graph, tol: float = 1e-8) -> list[tuple]:
         except DirspecError:
             pass
         nodes = slow_radius_cut(sub, g, members)
-        if len(nodes) < sub.node_count:  # else "no interior"
+        if 0 < len(nodes) < sub.node_count:  # else no boundary or "no interior"
             try:
                 diri = ds.dirichlet_gap(sub, ds.BoundarySpec("radius-cut", nodes), tol=tol)
             except DirspecError:
@@ -431,6 +433,17 @@ def slow_radial_tree_spectrum(degree: int, levels: int) -> np.ndarray:
     off = np.full(levels, math.sqrt(degree - 1))
     off[0] = math.sqrt(degree)
     return eigvalsh_tridiagonal(np.ones(levels + 1), -off / degree)
+
+
+def merged_tree_values(spec: ds.TreeSpectrumResult) -> np.ndarray:
+    """Sorted distinct eigenvalues of both tree families; a value at most 1e-12
+    above the last one kept counts as a repeat."""
+    vals = sorted(spec.symmetric_eigenvalues.tolist() + spec.sector_eigenvalues.tolist())
+    merged = [vals[0]]
+    for v in vals[1:]:
+        if v - merged[-1] > 1e-12:
+            merged.append(v)
+    return np.array(merged)
 
 
 def slow_dirichlet_laplacian(g: ds.Graph, interior) -> sp.csr_matrix:

@@ -25,7 +25,12 @@ from dirspec.spectral import (
     smallest_eigenpairs,
 )
 
-from conftest import slow_grid_gap, slow_normalized_laplacian, slow_radial_tree_gap
+from conftest import (
+    merged_tree_values,
+    slow_grid_gap,
+    slow_normalized_laplacian,
+    slow_radial_tree_gap,
+)
 
 TWO_TRIANGLE_EDGES = [
     ("a", "b"), ("b", "c"), ("a", "c"),
@@ -202,8 +207,7 @@ def test_criterion_5_local_cheeger_inequality_suite():
 def test_criterion_6_full_spectrum_agreement():
     with criterion(6, "analytic/numeric full-spectrum agreement"):
         for degree, levels in ((3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
-            spec = ds.tree_spectrum(degree, levels)
-            values = spec.all_values()
+            values = merged_tree_values(ds.tree_spectrum(degree, levels))
             tree = ds.gen_tree(degree, levels + 1)
             m = build_dirichlet_laplacian(tree, quiet_boundary(tree, "leaves"))
             dense = smallest_eigenpairs(m, m.n).eigenvalues

@@ -100,7 +100,7 @@ def test_brute_force_lower_bounds_every_ratio():
 
 def test_brute_force_size_cap():
     with pytest.raises(DataError, match="too large"):
-        brute_force_cheeger_constant(ds.gen_grid(5, 5), max_n=20)
+        brute_force_cheeger_constant(ds.gen_grid(5, 5))
 
 
 def test_brute_force_local_examples():

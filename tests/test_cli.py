@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 import warnings
 
 import pytest
@@ -97,6 +98,46 @@ def test_gap_command_factorization_count(tmp_path, monkeypatch):
     argv = ["gap", "--input", str(tmp_path / "isp.edges"), "--boundary", "degree-one"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert len(factored) == 3
+
+
+def test_gap_command_finds_components_once_per_map(tmp_path, monkeypatch):
+    paths = []
+    for seed in (1, 2, 3):
+        ds.write_graph(isp_like_graph(120, seed=seed), tmp_path / f"isp{seed}.edges")
+        paths.append(str(tmp_path / f"isp{seed}.edges"))
+    calls = []
+    real = ds.graph.csgraph.connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ds.graph.csgraph, "connected_components", counting)
+    assert main(["gap", "--input", *paths, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 3
+
+
+def test_empty_boundary_leaves_dirichlet_cell_empty(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a grid has no stub
+        assert main(["gap", "--gen", "grid:10x10", "--out", str(tmp_path)]) == 0
+        assert main(["grow", "--gen", "grid:20x20", "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "gap.csv")
+    assert rows == [["100", "180", "0", rows[0][3], ""]] and float(rows[0][3]) > 0
+    _, rows = read_csv(tmp_path / "grow.csv")
+    assert rows[-1][:2] == ["20", "400"] and float(rows[-1][2]) > 0
+    assert rows[-1][3] == ""
+    assert all(r[3] for r in rows[:-1])
+
+
+@pytest.mark.parametrize("spec", ["tree:3x100000", "tree:9x30000000"])
+def test_gen_deep_tree_is_too_large(tmp_path, capsys, spec):
+    start = time.perf_counter()
+    rc = main(["gen", spec, "--out", str(tmp_path)])
+    elapsed = time.perf_counter() - start
+    assert rc == 2
+    assert "data error: generator output too large" in capsys.readouterr().err
+    assert elapsed < 0.1
 
 
 def test_gap_command_no_interior_exit_code(tmp_path):

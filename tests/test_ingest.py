@@ -82,6 +82,16 @@ def test_gen_tree_validation():
         ds.gen_tree(3, 25)
 
 
+def test_tree_node_count_stops_at_the_size_guard():
+    guard = ds.ingest.SIZE_GUARD
+    for d in range(2, 11):
+        for depth in range(1, 40):
+            closed = 1 + d * ((d - 1) ** depth - 1) // (d - 2) if d > 2 else 1 + 2 * depth
+            assert tree_node_count(d, depth) == min(closed, guard + 1), (d, depth)
+    assert tree_node_count(2, guard // 2) == guard + 1
+    assert tree_node_count(3, 10**9) == tree_node_count(2, 10**9) == guard + 1
+
+
 def test_gen_grid_examples():
     c4 = ds.gen_grid(2, 2)
     assert c4.node_count == 4

@@ -380,10 +380,10 @@ def test_spectral_gap_examples():
 
 def test_spectral_gap_disconnected_handling():
     g = ds.build_graph([("a", "b"), ("b", "c"), ("x", "y")])
-    gap = ds.spectral_gap(g)  # largest component (P3) by default
+    gap = ds.spectral_gap(ds.largest_component(g))  # P3
     assert gap == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(NumericalError, match="unexpected spectrum"):
-        ds.spectral_gap(g, use_largest_component=False)
+        ds.spectral_gap(g)
 
 
 def test_dirichlet_gap_examples():

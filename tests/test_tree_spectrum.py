@@ -11,7 +11,7 @@ from dirspec.errors import DataError, NumericalError
 from dirspec.spectral import build_dirichlet_laplacian, smallest_eigenpairs
 from dirspec.tree_spectrum import _eig_condition, eigenvalue_from_angle
 
-from conftest import slow_radial_tree_spectrum
+from conftest import merged_tree_values, slow_radial_tree_spectrum
 
 # depths at which a fixed 1e-12 residual guard rejected the family's largest roots
 DEEP_CASES = ((3, 2000), (4, 2000), (5, 700), (6, 700), (8, 300), (10, 300))
@@ -138,30 +138,33 @@ def test_oracle_solver_agreement_subset():
 
 
 def test_sector_family_structure():
-    vals = ds.sector_family_eigenvalues(3, 1)
-    assert vals == [(pytest.approx(1.0, abs=1e-15), 0)]
+    values, levels = ds.sector_family_eigenvalues(3, 1)
+    assert values.tolist() == [pytest.approx(1.0, abs=1e-15)]
+    assert levels.tolist() == [0]
 
-    inf4 = ds.infinite_tree_gap(4)
-    for value, level in ds.sector_family_eigenvalues(4, 5):
-        assert 0 <= level < 5
-        assert value >= inf4 - 1e-12
+    values, levels = ds.sector_family_eigenvalues(4, 5)
+    assert ((0 <= levels) & (levels < 5)).all()
+    assert (values >= ds.infinite_tree_gap(4) - 1e-12).all()
 
-    by_level: dict[int, int] = {}
-    for _, level in ds.sector_family_eigenvalues(3, 6):
-        by_level[level] = by_level.get(level, 0) + 1
-    assert by_level == {k: 6 - k for k in range(6)}
+    _, levels = ds.sector_family_eigenvalues(3, 6)
+    assert np.bincount(levels).tolist() == [6 - k for k in range(6)]
 
 
 @pytest.mark.parametrize("degree, levels", [(3, 1), (3, 50), (4, 7), (8, 300)])
 def test_sector_family_equals_scalar_loop(degree, levels):
-    expected = [
+    pairs = [
         (eigenvalue_from_angle(degree, j * math.pi / (levels + 1 - k)), k)
         for k in range(levels)
         for j in range(1, levels - k + 1)
     ]
-    got = ds.sector_family_eigenvalues(degree, levels)
-    assert got == expected  # exact, value by value
-    assert all(type(v) is float and type(k) is int for v, k in got)
+    values, ks = ds.sector_family_eigenvalues(degree, levels)
+    assert values.dtype == np.float64 and ks.dtype.kind == "i"
+    # exact, value by value
+    assert np.array_equal(values, np.array([v for v, _ in pairs]))
+    assert np.array_equal(ks, np.array([k for _, k in pairs]))
+    spec = ds.tree_spectrum(degree, levels)
+    assert np.array_equal(spec.sector_eigenvalues, values)
+    assert np.array_equal(spec.sector_levels, ks)
 
 
 def test_symmetric_values_outside_infinite_gap():
@@ -174,8 +177,7 @@ def test_symmetric_values_outside_infinite_gap():
 
 def test_full_spectrum_set_agreement_small():
     for degree, levels in ((3, 1), (3, 2)):
-        spec = ds.tree_spectrum(degree, levels)
-        values = spec.all_values()
+        values = merged_tree_values(ds.tree_spectrum(degree, levels))
         tree = ds.gen_tree(degree, levels + 1)
         b = ds.resolve_boundary(tree, "leaves")
         m = build_dirichlet_laplacian(tree, b)
