@@ -32,7 +32,7 @@ from .graph import (
     resolve_boundary,
 )
 from .ingest import write_csv, write_graph
-from .spectral import dirichlet_gap, spectral_gap
+from .spectral import check_tolerance, dirichlet_gap, spectral_gap
 from .tree_spectrum import dirichlet_gap_analytic
 
 NUMERIC_TREE_LIMIT = 2048
@@ -77,8 +77,6 @@ def _load_graph(args, path: str | None = None) -> Graph:
         g = parse_generator_spec(args.gen, args.seed)
     else:
         raise UsageError("provide --input or --gen")
-    if args.keep_disconnected:
-        return g
     largest = largest_component(g)
     if largest is not g:
         print("note: input disconnected; using largest component", file=sys.stderr)
@@ -145,6 +143,7 @@ def cmd_tree_converge(args) -> int:
 
 
 def cmd_grow(args) -> int:
+    check_tolerance(args.tol)  # the loop below skips a ball whose solve fails
     src = args.input[0] if args.input else None
     g = _load_graph(args, src)
     dist = distances_from(g, one_median(g))
@@ -216,11 +215,6 @@ def _add_source(p: argparse.ArgumentParser, multiple: bool = False) -> None:
     )
     p.add_argument("--gen", default=None, metavar="SPEC", help="generator spec, e.g. grid:100x100")
     p.add_argument("--seed", type=int, default=0, help="seed for random generators")
-    p.add_argument(
-        "--keep-disconnected",
-        action="store_true",
-        help="do not reduce disconnected inputs to their largest component",
-    )
 
 
 def build_parser() -> _Parser:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cheeger import cheeger_ratio
 from .errors import DataError, NumericalError
-from .graph import BoundarySpec, Graph, NodeSet, components
+from .graph import BoundarySpec, Graph, NodeSet, components, is_connected
 from .spectral import (
     SymmetricMatrix,
     build_dirichlet_laplacian,
@@ -217,6 +217,8 @@ def sweep(
     so the sizes strictly grow from at least 1 to at most n-1, one row per
     prefix; ``sizes`` keeps only the rows of the listed sizes.
     """
+    if not is_connected(g):
+        raise DataError("sweep requires a connected graph")
     interior = b.interior(g)
     if interior.size < 2:
         raise DataError("sweep requires at least two interior nodes")

@@ -7,18 +7,19 @@ normalization, gives the boundary-conditioned operator whose smallest
 eigenvalue is the Dirichlet spectral gap.
 
 Both operators are sparse and only a few of their smallest eigenpairs are
-usually wanted, so partial solves use shift-inverted Lanczos on a sparse LU
-factor; a dense decomposition is kept for tiny matrices and full spectra.
-The matrix size and the number of wanted pairs alone pick the route.
+usually wanted, so partial solves use shift-inverted Lanczos on a sparse
+LDL^T factor; a dense decomposition is kept for tiny matrices and full
+spectra.  The matrix size and the number of wanted pairs alone pick the route.
 
 Lanczos can skip an eigenvalue, so a shift-invert solve must prove that it
 found the smallest ones.  The general proof is an inertia count, a second
-sparse LU.  A one-pair solve of a Z-matrix (every off-diagonal entry <= 0,
-as in both operators here) has a cheaper one.  With c its largest diagonal
-entry, B = cI - A is entrywise nonnegative, and for any entrywise-positive x
-the Collatz-Wielandt bounds min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i
-hold (Horn-Johnson, Matrix Analysis, 8.1.26).  B is symmetric, so rho(B) is
-its largest eigenvalue, c - lambda_min(A), which turns the bounds into
+LDL^T from the same routine in the solve's own order.  A one-pair solve of
+a Z-matrix (every off-diagonal entry <= 0, as in both operators here) has a
+cheaper one.  With c its largest diagonal entry, B = cI - A is entrywise
+nonnegative, and for any entrywise-positive x the Collatz-Wielandt bounds
+min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i hold (Horn-Johnson, Matrix
+Analysis, 8.1.26).  B is symmetric, so rho(B) is its largest eigenvalue,
+c - lambda_min(A), which turns the bounds into
 
     min_i (Ax)_i/x_i <= lambda_min(A) <= max_i (Ax)_i/x_i.
 
@@ -102,33 +103,31 @@ def build_dirichlet_laplacian(g: Graph, b: BoundarySpec) -> SymmetricMatrix:
     return SymmetricMatrix(sub, interior)
 
 
-def _factor(a: sp.csr_matrix, shift: float, **options) -> SuperLU:
-    """Sparse LU of ``a - shift*I``.
+def _ldl(a: sp.csr_matrix, shift: float, order: np.ndarray | None = None) -> SuperLU:
+    """LDL^T of the symmetric ``a - shift*I``: an LU with diagonal pivots, D = diag(U).
 
-    The minimum-degree ordering of A^T+A suits these symmetric operators: on
-    4,000-router ISP-like maps it cuts the fill of SuperLU's default COLAMD
-    ordering seven- to eightfold.
+    By Sylvester's law of inertia D has as many negative entries as
+    ``a - shift*I`` has negative eigenvalues.  Without ``order`` SuperLU's
+    minimum-degree ordering of A^T+A runs (on 4,000-router ISP-like maps a
+    seventh of COLAMD's fill); with it, row ``order[j]`` is eliminated at step
+    j, as ``np.argsort(f.perm_c)`` gives for a factor f of the same pattern,
+    and ``solve`` works in that permuted basis.
     """
-    shifted = (a - shift * sp.identity(a.shape[0], format="csr")).tocsc()
-    return splu(shifted, permc_spec="MMD_AT_PLUS_A", **options)
-
-
-def _count_below(a: sp.csr_matrix, mu: float) -> int:
-    """How many eigenvalues of the symmetric ``a`` lie below ``mu``.
-
-    With diagonal pivots only, the LU of ``a - mu*I`` is an LDL^T factorization
-    with D = diag(U), and by Sylvester's law of inertia D has as many negative
-    entries as ``a - mu*I`` has negative eigenvalues.
-    """
+    shifted = a - shift * sp.identity(a.shape[0], format="csr")
+    if order is not None:
+        shifted = shifted[order][:, order]
     try:
-        lu = _factor(a, mu, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as e:
-        raise NumericalError(f"cannot count eigenvalues below {mu:.6e}: {e}") from e
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise NumericalError(
-            f"cannot count eigenvalues below {mu:.6e}: factorization left the diagonal"
+        lu = splu(
+            shifted.tocsc(),
+            permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
-    return int((lu.U.diagonal() < 0).sum())
+    except RuntimeError as e:
+        raise NumericalError(f"cannot factor at shift {shift:.6e}: {e}") from e
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalError(f"cannot factor at shift {shift:.6e}: a pivot left the diagonal")
+    return lu
 
 
 def _collatz_wielandt(
@@ -161,12 +160,18 @@ def _collatz_wielandt(
     return float(lo), float(hi)
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject a tolerance that is not finite and positive: with inf or nan every check passes."""
+    if not 0 < tol < np.inf:
+        raise DataError(f"tolerance must be finite and positive, got {tol}")
+
+
 def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenResult:
     """The k algebraically smallest eigenpairs, with verified residuals.
 
     The matrix size and k alone pick one of two routes.  Shift-inverted
     Lanczos (ARPACK mode 3) factors the positive definite ``A - SHIFT*I`` once
-    with a minimum-degree ordering and starts from a fixed vector, so repeated
+    as a minimum-degree LDL^T and starts from a fixed vector, so repeated
     runs are deterministic; it serves every partial solve (``k < n-1``) above
     DENSE_LIMIT.  Tiny matrices and full or near-full spectra (``k >= n-1``,
     which Lanczos cannot deliver) take a dense decomposition of only the k
@@ -180,21 +185,20 @@ def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenR
     it.  Every other shift-invert solve (``k >= 2``, a vector with zeros,
     for example on a disconnected interior, a positive off-diagonal entry,
     or a lower end below ``lambda - tol``) proves it by an inertia count, a
-    second sparse LU.  ``result.route`` says which route ran.
+    second LDL^T in the same order.  ``result.route`` says which route ran.
     """
     a = m.matrix
     n = a.shape[0]
     if not 1 <= k <= n:
         raise DataError(f"need 1 <= k <= {n}, got k={k}")
-    if tol <= 0:
-        raise DataError("tolerance must be positive")
+    check_tolerance(tol)
     route = "dense" if n <= DENSE_LIMIT or k >= n - 1 else "shift-invert"
 
     if route == "dense":
         vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, k - 1])
         vecs = np.ascontiguousarray(vecs)
     else:
-        lu = _factor(a, SHIFT)
+        lu = _ldl(a, SHIFT)
         op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         # fixed seed for repeatable runs; positive, so it overlaps every Perron
         # vector, and generic, so it is not orthogonal to eigenvectors that a
@@ -253,7 +257,7 @@ def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenR
         # within tol of a true one, so every eigenvalue below mu must match a
         # computed value below vals[-1] - tol.
         mu = vals[-1] - 2 * tol
-        below = _count_below(a, mu)
+        below = int((_ldl(a, mu, np.argsort(lu.perm_c)).U.diagonal() < 0).sum())
         found = int((vals < vals[-1] - tol).sum())
         if below > found:
             raise NumericalError(

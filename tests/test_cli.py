@@ -80,8 +80,9 @@ def test_gap_command_multiple_inputs(tmp_path):
 
 
 def test_gap_command_factorization_count(tmp_path, monkeypatch):
-    # one LU and one inertia LU for the k=2 traditional solve; the k=1
-    # Dirichlet solve is certified by its enclosure and needs one LU only
+    # the k=2 traditional solve orders and factors once, and its inertia
+    # factor reuses that order; the k=1 Dirichlet solve is certified by its
+    # enclosure and needs one factor only.  Every factor has diagonal pivots.
     g = isp_like_graph(400, seed=7)
     b = ds.resolve_boundary(g, "degree-one")
     assert ds.is_connected(g) and 0 < len(b.nodes)
@@ -91,13 +92,13 @@ def test_gap_command_factorization_count(tmp_path, monkeypatch):
     real_splu = spectral.splu
 
     def counting_splu(*args, **kwargs):
-        factored.append(args[0])
+        factored.append((kwargs["permc_spec"], kwargs["diag_pivot_thresh"]))
         return real_splu(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "splu", counting_splu)
     argv = ["gap", "--input", str(tmp_path / "isp.edges"), "--boundary", "degree-one"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert len(factored) == 3
+    assert factored == [("MMD_AT_PLUS_A", 0.0), ("NATURAL", 0.0), ("MMD_AT_PLUS_A", 0.0)]
 
 
 def test_gap_command_finds_components_once_per_map(tmp_path, monkeypatch):
@@ -128,6 +129,20 @@ def test_empty_boundary_leaves_dirichlet_cell_empty(tmp_path):
     assert rows[-1][:2] == ["20", "400"] and float(rows[-1][2]) > 0
     assert rows[-1][3] == ""
     assert all(r[3] for r in rows[:-1])
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, tol):
+    commands = [
+        ["gap", "--gen", "grid:30x30", "--boundary", "grid-perimeter"],
+        ["grow", "--gen", "grid:5x5"],
+        ["cluster-sweep", "--gen", "whisker:5x2x2"],
+        ["tree-converge", "--degree", "3", "--max-levels", "2"],
+    ]
+    for argv in commands:
+        assert main([*argv, f"--tol={tol}", "--out", str(tmp_path)]) == 2
+        assert "data error: tolerance must be finite and positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("spec", ["tree:3x100000", "tree:9x30000000"])
@@ -361,19 +376,32 @@ def test_cluster_sweep_sizes_filter_and_cut_files(tmp_path, monkeypatch):
             assert text.endswith("\n") or text == ""
 
 
-def test_keep_disconnected_flag(tmp_path):
-    (tmp_path / "two.edges").write_text("a b\nb c\nc a\nx y\ny z\nz x\np q\n")
-    base = ["gap", "--input", str(tmp_path / "two.edges"), "--out", str(tmp_path)]
-    assert main(base) == 0  # reduced to largest component
-    assert main(base + ["--keep-disconnected"]) == 3  # zero gap rejected
-    grow = ["grow", "--input", str(tmp_path / "two.edges"), "--out", str(tmp_path)]
-    assert main(grow) == 0
-    assert main(grow + ["--keep-disconnected"]) == 2  # no 1-median
-
+def test_keep_disconnected_flag(tmp_path, capsys):
+    # the flag is gone: every command reduces a disconnected input to its
+    # largest component (ties: lowest label id) and writes that one's rows
+    two = "a b\nb c\nc a\na p\nx y\ny z\nz x\nx q\n"  # two triangles with a pendant each
+    (tmp_path / "two.edges").write_text(two)
+    (tmp_path / "one.edges").write_text("a b\nb c\nc a\na p\n")
     # two disjoint 10x10 grids: large enough for the shift-invert route
     grid = sorted(ds.gen_grid(10, 10).labeled_edges())
     lines = [f"{p}{u} {p}{v}" for p in "ab" for u, v in grid]
     (tmp_path / "grids.edges").write_text("\n".join(lines) + "\n")
-    base = ["gap", "--input", str(tmp_path / "grids.edges"), "--boundary", "grid-perimeter"]
-    assert main(base + ["--out", str(tmp_path)]) == 0
-    assert main(base + ["--keep-disconnected", "--out", str(tmp_path)]) == 3
+    (tmp_path / "grid.edges").write_text("\n".join(lines[: len(grid)]) + "\n")
+    runs = [
+        ("gap", [], "two", "one", ["gap.csv"]),
+        ("grow", [], "two", "one", ["grow.csv"]),
+        ("cluster-sweep", [], "two", "one", ["sweep_sizes.csv", "sweep_aggregate.csv"]),
+        ("gap", ["--boundary", "grid-perimeter"], "grids", "grid", ["gap.csv"]),
+    ]
+    for i, (command, flags, whole, part, names) in enumerate(runs):
+        argv = [command, *flags, "--input", str(tmp_path / f"{whole}.edges")]
+        out = tmp_path / f"out{i}"
+        assert main(argv + ["--keep-disconnected", "--out", str(out / "flag")]) == 1
+        assert "usage error: unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--out", str(out / "whole")]) == 0
+        assert "note: input disconnected; using largest component" in capsys.readouterr().err
+        argv = [command, *flags, "--input", str(tmp_path / f"{part}.edges")]
+        assert main(argv + ["--out", str(out / "part")]) == 0
+        for name in names:
+            assert (out / "whole" / name).read_text() == (out / "part" / name).read_text()

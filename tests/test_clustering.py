@@ -151,6 +151,21 @@ def test_sweep_identical_rankings_all_tied(two_triangle):
     assert three.c_d == three.c_t == 1
 
 
+def test_sweep_rejects_disconnected_graph():
+    # two triangles, each with a pendant node, and no edge between them: 0 is
+    # a double eigenvalue, so the traditional embedding has no unique basis
+    edges = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "p")]
+    edges += [("x", "y"), ("y", "z"), ("z", "x"), ("x", "q")]
+    g = ds.build_graph(edges)
+    b = ds.resolve_boundary(g, "degree-one")
+    assert b.interior(g).size == 6
+    with pytest.raises(DataError, match="sweep requires a connected graph"):
+        sweep(g, b)
+    half = ds.largest_component(g)
+    assert half.node_count == 4
+    assert sweep(half, ds.resolve_boundary(half, "degree-one")).rows
+
+
 def _slow_cheeger_ratio(g, cut):
     vol = slow_volume(g, cut)
     return slow_edge_boundary(g, cut) / min(vol, 2 * g.edge_count - vol)

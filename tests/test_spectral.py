@@ -19,6 +19,7 @@ from dirspec.spectral import (
 
 from conftest import (
     complete_graph,
+    isp_like_graph,
     path_graph,
     slow_collatz_wielandt,
     slow_dirichlet_laplacian,
@@ -115,8 +116,12 @@ def test_smallest_eigenpairs_validation():
         smallest_eigenpairs(m, 0)
     with pytest.raises(DataError):
         smallest_eigenpairs(m, 4)
-    with pytest.raises(DataError):
-        smallest_eigenpairs(m, 1, tol=0.0)
+    # a tolerance that is not finite and positive, on the dense and the
+    # shift-invert route: with inf or nan every check would pass
+    for g in (path_graph(3), ds.gen_grid(30, 30)):
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DataError, match="tolerance must be finite and positive"):
+                smallest_eigenpairs(build_normalized_laplacian(g), 2, tol=tol)
 
 
 def test_eigen_contract_residuals_orthonormality():
@@ -234,14 +239,16 @@ def test_missed_eigenvalue_raises_for_one_pair(monkeypatch):
 
 
 def _count_inertia_calls(monkeypatch) -> list[float]:
+    # the inertia factor is the one that reuses a supplied elimination order
     calls = []
-    real_count_below = spectral._count_below
+    real_ldl = spectral._ldl
 
-    def counting(a, mu):
-        calls.append(mu)
-        return real_count_below(a, mu)
+    def counting(a, shift, order=None):
+        if order is not None:
+            calls.append(shift)
+        return real_ldl(a, shift, order)
 
-    monkeypatch.setattr(spectral, "_count_below", counting)
+    monkeypatch.setattr(spectral, "_ldl", counting)
     return calls
 
 
@@ -352,6 +359,37 @@ def test_positive_off_diagonal_falls_back_to_inertia_count(monkeypatch):
     assert len(calls) == 1
     x = res.eigenvectors[:, 0]
     assert (x > 0).all() or (x < 0).all()
+
+
+@pytest.mark.parametrize(
+    "make, boundary",
+    [
+        (lambda: ds.gen_grid(12, 12), "grid-perimeter"),
+        (lambda: ds.gen_tree(3, 4), "leaves"),
+        (lambda: ds.gen_whisker(10, 5, 3), "degree-one"),
+        (lambda: isp_like_graph(200, seed=3), "degree-one"),
+    ],
+    ids=["grid", "tree", "whisker", "isp"],
+)
+def test_ldl_inertia_equals_dense_count(make, boundary):
+    # at every shift midway between consecutive distinct eigenvalues, the
+    # negative pivots of the LDL^T factor count the eigenvalues below it, in
+    # its own minimum-degree order and in the order of a solve's factor
+    g = make()
+    b = ds.resolve_boundary(g, boundary)
+    for m in (build_normalized_laplacian(g), build_dirichlet_laplacian(g, b)):
+        a = m.matrix
+        dense = np.linalg.eigvalsh(a.toarray())
+        step = np.flatnonzero(np.diff(dense) > 1e-8)
+        assert step.size >= 6
+        solve_lu = spectral._ldl(a, spectral.SHIFT)
+        order = np.argsort(solve_lu.perm_c)
+        for mu in (dense[step] + dense[step + 1]) / 2:
+            want = int((dense < mu).sum())
+            assert int((spectral._ldl(a, mu).U.diagonal() < 0).sum()) == want
+            lu = spectral._ldl(a, mu, order)
+            assert int((lu.U.diagonal() < 0).sum()) == want
+            assert lu.L.nnz + lu.U.nnz == solve_lu.L.nnz + solve_lu.U.nnz
 
 
 def test_unreachable_tolerance_raises_with_residual():
