@@ -124,6 +124,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_tree_converge(args) -> int:
+    check_tolerance(args.tol)  # no numeric solve runs when every tree is too large
     if args.degree < 3:
         raise UsageError("tree-converge requires --degree >= 3")
     if args.max_levels < 1:

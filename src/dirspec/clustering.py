@@ -4,7 +4,9 @@ Both the boundary-conditioned and the traditional pipeline embed nodes by the
 eigenvectors of the two smallest eigenvalues, split them with deterministic
 2-means, rank every node by its distance difference to the two centers, and
 evaluate the nested prefix cuts of that ranking.  The sweep pairs the two
-methods size-for-size and aggregates the comparison.
+methods size-for-size and aggregates the comparison.  Every Dirichlet cut of a
+sweep contains the one before it, so the report keeps the cuts as prefixes of
+one insertion order: O(n + rows) ids, not one set per row.
 """
 
 from __future__ import annotations
@@ -76,10 +78,15 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Size-paired cut comparison plus the four-category aggregate."""
+    """Size-paired cut comparison plus the four-category aggregate.
+
+    ``dirichlet_cuts[i]`` is the Dirichlet cut of ``rows[i]``: a view of the
+    first ``rows[i].k`` ids of one int64 insertion order, so the cuts share
+    one array and no row copies its members.
+    """
 
     rows: tuple[SweepRow, ...]
-    dirichlet_cuts: tuple[NodeSet, ...]  # aligned with rows
+    dirichlet_cuts: tuple[np.ndarray, ...]  # prefix views of one order, aligned with rows
     cat_le_le: int
     cat_le_gt: int
     cat_gt_le: int
@@ -213,9 +220,13 @@ def sweep(
 
     For each interior prefix, the boundary is reattached and the resulting
     size is matched by a traditional prefix cut of the same size.  Each
-    prefix adds one interior node and reattachment only adds boundary nodes,
-    so the sizes strictly grow from at least 1 to at most n-1, one row per
-    prefix; ``sizes`` keeps only the rows of the listed sizes.
+    prefix adds one interior node, and a boundary node's count of interior
+    neighbors inside only grows, so once reattached it stays in: every cut
+    contains the previous one.  So the sizes strictly grow from at least 1
+    to at most n-1, one row per prefix, and each row's Dirichlet cut is the
+    prefix of its size of one insertion order, to which every prefix appends
+    the ids it gains, ascending; ``sizes`` keeps only the rows of the listed
+    sizes, and the dropped prefixes still append.
     """
     if not is_connected(g):
         raise DataError("sweep requires a connected graph")
@@ -228,16 +239,18 @@ def sweep(
 
     wanted = set(int(s) for s in sizes) if sizes is not None else None
     rows: list[SweepRow] = []
-    cuts: list[NodeSet] = []
+    inserted: list[int] = []
+    prev: NodeSet = frozenset()
     for j in range(1, interior.size):
         cut = reattach_boundary(g, b, order_d[:j])
+        inserted.extend(sorted(cut - prev))
+        prev = cut
         k = len(cut)
         if wanted is not None and k not in wanted:
             continue
         d_rec = evaluate_cut(g, cut, "dirichlet")
         t_rec = evaluate_cut(g, order_t[:k], "traditional")
         rows.append(SweepRow(k=k, h_d=d_rec.h, c_d=d_rec.c, h_t=t_rec.h, c_t=t_rec.c))
-        cuts.append(d_rec.nodes)
     if not rows:
         raise DataError("sweep produced no cuts (size filter too strict?)")
 
@@ -254,9 +267,10 @@ def sweep(
             else:
                 gt_gt += 1
     count = len(rows)
+    order = np.array(inserted, dtype=np.int64)
     return SweepReport(
         rows=tuple(rows),
-        dirichlet_cuts=tuple(cuts),
+        dirichlet_cuts=tuple(order[: r.k] for r in rows),
         cat_le_le=le_le,
         cat_le_gt=le_gt,
         cat_gt_le=gt_le,

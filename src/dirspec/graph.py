@@ -74,11 +74,15 @@ class Graph:
     def node_mask(self, s: Iterable[int], allow_empty: bool = False) -> np.ndarray:
         """Boolean membership mask of a node set over the ids; duplicates collapse.
 
-        Raises DataError for an empty set unless ``allow_empty``, and for ids
-        outside 0..n-1.  Negative ids are checked before indexing, because
-        the mask would otherwise wrap them around to nodes counted from the end.
+        Raises DataError for an empty set unless ``allow_empty``, for ids
+        outside 0..n-1, and for a boolean array, whose values would otherwise
+        read as the ids 0 and 1.  Negative ids are checked before indexing,
+        because the mask would otherwise wrap them around to nodes counted
+        from the end.
         """
         if isinstance(s, np.ndarray):
+            if s.dtype == bool:
+                raise DataError("boolean array given as a node set; pass node ids")
             ids = s.astype(np.int64, copy=False)
         else:
             ids = np.fromiter(s, dtype=np.int64)

@@ -138,6 +138,8 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, tol):
         ["grow", "--gen", "grid:5x5"],
         ["cluster-sweep", "--gen", "whisker:5x2x2"],
         ["tree-converge", "--degree", "3", "--max-levels", "2"],
+        # every tree too large for a numeric solve: no solve checks the value
+        ["tree-converge", "--degree", "50", "--max-levels", "2"],
     ]
     for argv in commands:
         assert main([*argv, f"--tol={tol}", "--out", str(tmp_path)]) == 2

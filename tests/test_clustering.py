@@ -199,7 +199,9 @@ def test_sweep_rows_internally_consistent():
         assert 1 <= ks[0] and ks[-1] <= g.node_count - 1
         some = sweep(g, b, sizes=[r.k for r in full.rows[::2]])
         assert some.rows == full.rows[::2]
-        assert some.dirichlet_cuts == full.dirichlet_cuts[::2]
+        assert len(some.dirichlet_cuts) == len(full.dirichlet_cuts[::2])
+        for a, c in zip(some.dirichlet_cuts, full.dirichlet_cuts[::2]):
+            assert np.array_equal(a, c)
         order_t = _traditional_ranking(g)
         for report in (full, some):
             # category counts partition the rows, averages recompute exactly
@@ -217,7 +219,10 @@ def test_sweep_rows_internally_consistent():
             # routes: the recorded Dirichlet cut, and the k-prefix of the
             # traditional ranking
             for row, cut in zip(report.rows, report.dirichlet_cuts):
-                assert len(cut) == row.k
+                # distinct ids, and a view of the one insertion order the
+                # last (largest) cut spans
+                assert len(cut) == len(set(cut.tolist())) == row.k
+                assert np.shares_memory(cut, report.dirichlet_cuts[-1])
                 assert row.h_d == _slow_cheeger_ratio(g, cut)
                 assert row.c_d == slow_components(g, cut)
                 prefix = [int(v) for v in order_t[: row.k]]
@@ -284,6 +289,52 @@ def test_out_of_range_ids_raise(call, bad):
         call(g, b, nodes)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, b, s: ds.volume(g, s),
+        lambda g, b, s: ds.edge_boundary(g, s),
+        lambda g, b, s: ds.components(g, s),
+        lambda g, b, s: ds.induced_subgraph(g, s),
+        lambda g, b, s: evaluate_cut(g, s, "traditional"),
+        lambda g, b, s: reattach_boundary(g, b, s),
+    ],
+    ids=["volume", "edge_boundary", "components", "induced_subgraph", "evaluate_cut", "reattach"],
+)
+def test_boolean_mask_as_node_set_raises(call):
+    g = ds.gen_grid(4, 4)
+    b = _quiet_boundary(g, "grid-perimeter")
+    inner = np.array([5, 6, 9, 10])
+    assert set(b.interior(g).tolist()) == set(inner.tolist())
+    call(g, b, inner)  # the same set as ids is accepted
+    mask = np.zeros(g.node_count, dtype=bool)
+    mask[inner] = True
+    # read as ids, the mask would be the set {0, 1}: no error, a wrong answer
+    with pytest.raises(DataError, match="boolean"):
+        call(g, b, mask)
+
+
+def test_sweep_report_memory_is_linear():
+    """A second sweep (graph caches and the boundary's edges already built)
+    allocates and keeps little: the report holds one insertion order, each
+    row's Dirichlet cut a view of its prefix, not one set per row."""
+    import tracemalloc
+
+    g = ds.gen_random_connected(600, 0.012, 3)
+    b = _quiet_boundary(g, "degree-one")
+    first = sweep(g, b)
+    tracemalloc.start()
+    try:
+        report = sweep(g, b)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.rows == first.rows
+    assert len(report.rows) > 400
+    assert peak < 3 * 2**20
+    assert held < 2**20
+
+
 def test_sweep_evaluate_cut_calls_pin_capture_contract(monkeypatch):
     """The benchmark's sweep check (perfbench/worker.py::sweep_capture) takes
     the traditional cuts by wrapping clustering.evaluate_cut, so sweep must
@@ -303,7 +354,9 @@ def test_sweep_evaluate_cut_calls_pin_capture_contract(monkeypatch):
         monkeypatch.undo()
         assert [m for m, _ in calls] == ["dirichlet", "traditional"] * len(report.rows)
         dirichlet, traditional = calls[::2], calls[1::2]
-        assert [frozenset(nodes) for _, nodes in dirichlet] == list(report.dirichlet_cuts)
+        assert len(dirichlet) == len(report.dirichlet_cuts)
+        for (_, nodes), cut in zip(dirichlet, report.dirichlet_cuts):
+            assert frozenset(nodes) == frozenset(cut.tolist())
         prev: set[int] = set()
         for row, (_, nodes) in zip(report.rows, traditional):
             assert isinstance(nodes, np.ndarray) and nodes.base is not None

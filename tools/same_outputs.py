@@ -1,0 +1,121 @@
+"""Check that this checkout writes the same output files as revision REV.
+
+Usage, from anywhere inside the repository:
+
+    python3 tools/same_outputs.py REV
+
+Exports REV with ``git archive`` into a temporary directory, writes the
+seed-1 inputs of the benchmark workloads once (perfbench/generate.py), and
+runs every workload's command on them in both trees: ``gap`` on the six
+gap-isp maps, ``grow`` on each grow-isp map, ``cluster-sweep --emit-cuts`` on
+each sweep-isp map and ``tree-converge --degree 3 --max-levels 200``, plus
+``cluster-sweep --emit-cuts`` on two generated graphs (a whisker graph with a
+7-fold degenerate eigenvalue, and a grid with a ``--sizes`` filter).
+
+Each call writes into its own directory, with its exit code in the file
+``rc``.  Every file is compared byte for byte; the script prints each file
+that differs or exists on one side only and exits 1 if there is any, 0 if
+there is none.  Everything it writes stays under one temporary directory,
+which is removed at the end.  The working tree's side runs its files as they
+are, uncommitted changes included.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
+GENERATED = [
+    ("whisker", ["cluster-sweep", "--gen", "whisker:20x8x4", "--emit-cuts"]),
+    ("grid", ["cluster-sweep", "--gen", "grid:12x12", "--boundary", "grid-perimeter",
+              "--sizes", "5,20,40", "--emit-cuts"]),
+]
+
+# Runs in a fresh interpreter per tree: argv[1] is the tree's src directory,
+# argv[2] a JSON list of [out_dir, cli_argv] pairs.
+DRIVER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from dirspec.cli import main
+for out, argv in json.loads(sys.argv[2]):
+    rc = main([*argv, "--out", out])
+    with open(out + "/rc", "w") as f:
+        f.write(f"{rc}\\n")
+"""
+
+
+def jobs(inputs_dir: str) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every call; the workload inputs are written here."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from generate import workload_inputs
+    from run import cli_argv
+
+    found = []
+    for workload in ("gap-isp", "grow-isp", "sweep-isp", "tree-converge"):
+        for i, inputs in enumerate(workload_inputs(workload, SEED, inputs_dir)):
+            argv = cli_argv(workload, inputs)
+            if workload == "sweep-isp":
+                argv.append("--emit-cuts")
+            found.append((f"{workload}-{i}", argv))
+    return found + GENERATED
+
+
+def run_tree(src: str, out_root: str, calls: list[tuple[str, list[str]]]) -> None:
+    pairs = []
+    for name, argv in calls:
+        out = os.path.join(out_root, name)
+        os.makedirs(out)
+        pairs.append([out, argv])
+    subprocess.run(
+        [sys.executable, "-c", DRIVER, src, json.dumps(pairs)], stdout=subprocess.DEVNULL, check=True
+    )
+
+
+def differing(a: str, b: str) -> list[str]:
+    """Relative paths of the files that differ, or exist under one root only."""
+    def files(root: str) -> set[str]:
+        return {
+            os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names
+        }
+
+    in_a, in_b = files(a), files(b)
+    same = {p for p in in_a & in_b if filecmp.cmp(os.path.join(a, p), os.path.join(b, p), shallow=False)}
+    return sorted((in_a | in_b) - same)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        rev_tree = os.path.join(tmp, "rev")
+        os.makedirs(rev_tree)
+        archive = subprocess.Popen(["git", "-C", ROOT, "archive", args.rev], stdout=subprocess.PIPE)
+        untar = subprocess.run(["tar", "-x", "-C", rev_tree], stdin=archive.stdout)
+        archive.stdout.close()
+        if archive.wait() != 0 or untar.returncode != 0:
+            print(f"cannot export {args.rev!r}", file=sys.stderr)
+            return 2
+        inputs = os.path.join(tmp, "inputs")
+        os.makedirs(inputs)
+        calls = jobs(inputs)
+        outs = {side: os.path.join(tmp, "out", side) for side in ("rev", "here")}
+        run_tree(os.path.join(rev_tree, "src"), outs["rev"], calls)
+        run_tree(os.path.join(ROOT, "src"), outs["here"], calls)
+        diff = differing(outs["rev"], outs["here"])
+        for path in diff:
+            print(f"differs: {path}")
+        compared = sum(len(files) for _, _, files in os.walk(outs["here"]))
+        print(f"{len(diff)} of {compared} files differ from {args.rev} ({len(calls)} calls)")
+        return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
