@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import DataError
 from .graph import BoundarySpec, Graph, NodeSet, edge_boundary, volume
 
@@ -28,22 +30,21 @@ class CheegerReport:
 
 def cheeger_ratio(g: Graph, s: NodeSet) -> float:
     """e(S, ~S) / min(vol S, vol ~S) for a nonempty proper subset S."""
-    size = len(set(s))
-    if size == 0 or size >= g.node_count:
-        raise DataError("cheeger_ratio needs a nonempty proper subset")
+    s = np.flatnonzero(g.node_mask(s))  # read s once: it may be an iterator
     vol_s = volume(g, s)
     vol_rest = 2 * g.edge_count - vol_s
+    if vol_rest == 0:  # no node is isolated: only the full set leaves no volume outside
+        raise DataError("cheeger_ratio needs a nonempty proper subset")
     return edge_boundary(g, s) / min(vol_s, vol_rest)
 
 
 def local_cheeger_ratio(g: Graph, b: BoundarySpec, t: NodeSet) -> float:
     """e(T, ~T) / vol(T) for a nonempty T disjoint from the boundary."""
-    t = frozenset(int(v) for v in t)
-    if not t:
-        raise DataError("local_cheeger_ratio needs a nonempty set")
-    if t & b.nodes:
+    inset = g.node_mask(t)
+    if (inset & g.node_mask(b.nodes, allow_empty=True)).any():
         raise DataError("set overlaps the boundary; local ratio is undefined there")
-    return edge_boundary(g, t) / volume(g, t)
+    members = np.flatnonzero(inset)
+    return edge_boundary(g, members) / volume(g, members)
 
 
 def _neighbor_masks(g: Graph, nodes: list[int]) -> list[int]:

@@ -90,7 +90,10 @@ def _dirichlet_cell(g: Graph, b: BoundarySpec, tol: float) -> float | None:
 
 
 def _outpath(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot write {args.out}: {e}") from e
     return os.path.join(args.out, name)
 
 
@@ -189,12 +192,11 @@ def cmd_cluster_sweep(args) -> int:
         for row, cut in zip(report.rows, report.dirichlet_cuts):
             inset = g.node_mask(cut, allow_empty=True)
             keep = inset[eu] & inset[ev]
-            lines = [
-                f"{g.labels[u]} {g.labels[v]}"
+            text = "".join(
+                f"{g.labels[u]} {g.labels[v]}\n"
                 for u, v in zip(eu[keep].tolist(), ev[keep].tolist())
-            ]
-            with open(_outpath(args, f"cut_{row.k}.edges"), "w", encoding="utf-8", newline="") as f:
-                f.write("\n".join(lines) + ("\n" if lines else ""))
+            )
+            ingest._write_text(_outpath(args, f"cut_{row.k}.edges"), text)
     print(f"wrote {sizes_path} and {agg_path}")
     return 0
 

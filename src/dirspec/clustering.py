@@ -4,9 +4,10 @@ Both the boundary-conditioned and the traditional pipeline embed nodes by the
 eigenvectors of the two smallest eigenvalues, split them with deterministic
 2-means, rank every node by its distance difference to the two centers, and
 evaluate the nested prefix cuts of that ranking.  The sweep pairs the two
-methods size-for-size and aggregates the comparison.  Every Dirichlet cut of a
-sweep contains the one before it, so the report keeps the cuts as prefixes of
-one insertion order: O(n + rows) ids, not one set per row.
+methods size-for-size and aggregates the comparison.  Within a sweep, cuts pass
+as ascending int64 node-id arrays.  Every Dirichlet cut of a sweep contains
+the one before it, so the report keeps the cuts as prefixes of one insertion
+order: O(n + rows) ids, not one set per row.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .cheeger import cheeger_ratio
 from .errors import DataError, NumericalError
-from .graph import BoundarySpec, Graph, NodeSet, components, is_connected
+from .graph import BoundarySpec, Graph, components, is_connected
 from .spectral import (
     SymmetricMatrix,
     build_dirichlet_laplacian,
@@ -40,31 +41,26 @@ class Embedding:
 
 @dataclass(frozen=True)
 class CutRecord:
-    size: int
-    nodes: NodeSet
+    """A cut's Cheeger ratio and the component count of the subgraph it induces."""
+
     h: float
     c: int
-    method: str  # dirichlet | traditional
 
 
 def evaluate_cut(g: Graph, nodes: Iterable[int], method: str) -> CutRecord:
     """Score one cut: its Cheeger ratio and induced component count.
 
     The node set goes through one boolean mask over the graph's ids, so a
-    numpy prefix of a ranking becomes the member set without a per-element
-    Python conversion and duplicate ids count once.  ``cheeger_ratio`` and
-    ``components`` each score the members from their own mask, which is
-    linear in the graph.  Raises DataError for ids outside the graph and for
-    an empty or full set.
+    numpy prefix of a ranking becomes the ascending member ids without a
+    per-element Python conversion and duplicate ids count once.
+    ``cheeger_ratio`` and ``components`` each score those ids from their own
+    mask, which is linear in the graph.  ``method`` ("dirichlet" or
+    "traditional") names the cut family for code that wraps this call; the
+    score does not depend on it.  Raises DataError for ids outside the graph
+    and for an empty or full set.
     """
-    members = frozenset(np.flatnonzero(g.node_mask(nodes, allow_empty=True)).tolist())
-    return CutRecord(
-        size=len(members),
-        nodes=members,
-        h=cheeger_ratio(g, members),
-        c=components(g, members),
-        method=method,
-    )
+    members = np.flatnonzero(g.node_mask(nodes, allow_empty=True))
+    return CutRecord(h=cheeger_ratio(g, members), c=components(g, members))
 
 
 @dataclass(frozen=True)
@@ -160,48 +156,27 @@ def rank_nodes(
     return emb.node_ids[order]
 
 
-def _boundary_edges(
-    g: Graph, b: BoundarySpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary mask; boundary end and interior end of every edge joining the
-    boundary to the interior; per node, the count of such edges at its
-    boundary end.
-
-    Kept on the spec for the last graph it was used with, so a sweep, which
-    reattaches once per row on one graph, selects these edges once.
-    """
-    memo = b.__dict__.get("_edges")
-    if memo is None or memo[0] is not g:
-        on_boundary = g.node_mask(b.nodes, allow_empty=True)
-        eu, ev = g.edge_arrays
-        u_stub = on_boundary[eu]
-        cross = u_stub != on_boundary[ev]
-        stub = np.where(u_stub, eu, ev)[cross]
-        memo = (
-            g,
-            on_boundary,
-            stub,
-            np.where(u_stub, ev, eu)[cross],
-            np.bincount(stub, minlength=g.node_count),
-        )
-        object.__setattr__(b, "_edges", memo)  # BoundarySpec is frozen
-    return memo[1:]
-
-
-def reattach_boundary(g: Graph, b: BoundarySpec, interior_cut: Iterable[int]) -> NodeSet:
+def reattach_boundary(g: Graph, b: BoundarySpec, interior_cut: Iterable[int]) -> np.ndarray:
     """Pull each boundary node into the cut when most of its interior
     neighbors are inside; exact ties and neighbor-less nodes stay outside.
+    Returns the ascending int64 ids of the cut with its reattached nodes.
 
-    Counts both sides of the majority per boundary node with one bincount
-    over the edges that join the boundary to the interior; those edges are
-    selected once per graph and boundary.
+    Selects the edges that join the boundary to the interior on each call;
+    one bincount over them counts each boundary node's interior neighbors,
+    and one more counts those inside the cut.
     """
     cut = g.node_mask(interior_cut, allow_empty=True)
-    on_boundary, stub, inner, total = _boundary_edges(g, b)
+    on_boundary = g.node_mask(b.nodes, allow_empty=True)
     if (cut & on_boundary).any():
         raise DataError("interior cut contains boundary nodes")
+    eu, ev = g.edge_arrays
+    u_stub = on_boundary[eu]
+    cross = u_stub != on_boundary[ev]
+    stub = np.where(u_stub, eu, ev)[cross]
+    inner = np.where(u_stub, ev, eu)[cross]
     inside = np.bincount(stub[cut[inner]], minlength=g.node_count)
-    return frozenset(np.flatnonzero(cut | (2 * inside > total)).tolist())
+    total = np.bincount(stub, minlength=g.node_count)
+    return np.flatnonzero(cut | (2 * inside > total))
 
 
 def _ranking(g: Graph, m: SymmetricMatrix, tol: float) -> np.ndarray:
@@ -239,13 +214,13 @@ def sweep(
 
     wanted = set(int(s) for s in sizes) if sizes is not None else None
     rows: list[SweepRow] = []
-    inserted: list[int] = []
-    prev: NodeSet = frozenset()
+    inserted: list[np.ndarray] = []
+    prev = np.zeros(g.node_count, dtype=bool)  # the previous cut, as a mask
     for j in range(1, interior.size):
         cut = reattach_boundary(g, b, order_d[:j])
-        inserted.extend(sorted(cut - prev))
-        prev = cut
-        k = len(cut)
+        inserted.append(cut[~prev[cut]])
+        prev[cut] = True
+        k = cut.size
         if wanted is not None and k not in wanted:
             continue
         d_rec = evaluate_cut(g, cut, "dirichlet")
@@ -267,7 +242,7 @@ def sweep(
             else:
                 gt_gt += 1
     count = len(rows)
-    order = np.array(inserted, dtype=np.int64)
+    order = np.concatenate(inserted)
     return SweepReport(
         rows=tuple(rows),
         dirichlet_cuts=tuple(order[: r.k] for r in rows),

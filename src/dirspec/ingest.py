@@ -154,9 +154,14 @@ def write_graph(g: Graph, path: str | os.PathLike) -> None:
     for u, v in zip(eu, ev):
         if (int(u), int(v)) not in emitted:
             lines.append(f"{g.labels[u]} {g.labels[v]}")
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path: str | os.PathLike, text: str) -> None:
+    """Write UTF-8 text as given (LF stays LF); an OSError is a DataError."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("\n".join(lines) + "\n")
+            f.write(text)
     except OSError as e:
         raise DataError(f"cannot write {path}: {e}") from e
 
@@ -180,8 +185,4 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Seq
     out = [",".join(header)]
     for row in rows:
         out.append(",".join(format_cell(x) for x in row))
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("\n".join(out) + "\n")
-    except OSError as e:
-        raise DataError(f"cannot write {path}: {e}") from e
+    _write_text(path, "\n".join(out) + "\n")

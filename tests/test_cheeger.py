@@ -26,6 +26,7 @@ from conftest import (
 def test_cheeger_ratio_examples(two_triangle):
     c4 = cycle_graph(4)
     assert ds.cheeger_ratio(c4, {0, 1}) == 0.5
+    assert ds.cheeger_ratio(c4, iter([0, 1])) == 0.5  # an iterator is read once
     k2 = ds.build_graph([("a", "b")])
     assert ds.cheeger_ratio(k2, {0}) == 1.0
     triangle_side = {0, 1, 2}  # labels a, b, c
@@ -38,6 +39,11 @@ def test_cheeger_ratio_rejects_empty_and_full():
         ds.cheeger_ratio(p3, set())
     with pytest.raises(DataError):
         ds.cheeger_ratio(p3, {0, 1, 2})
+    # as id arrays: the full set with a duplicate id, and no ids at all
+    with pytest.raises(DataError):
+        ds.cheeger_ratio(p3, np.array([0, 1, 2, 2]))
+    with pytest.raises(DataError):
+        ds.cheeger_ratio(p3, np.array([], dtype=np.int64))
 
 
 def test_cheeger_ratio_complement_symmetry():

@@ -180,6 +180,27 @@ def test_usage_errors_exit_code(tmp_path):
     assert main(["nonsense"]) == 1
 
 
+def test_unwritable_out_is_a_data_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file, not a directory\n")
+    commands = [
+        ["gen", "grid:4x4"],
+        ["gap", "--gen", "grid:4x4", "--boundary", "grid-perimeter"],
+        ["cluster-sweep", "--gen", "whisker:5x2x2"],
+    ]
+    for argv in commands:
+        assert main([*argv, "--out", str(taken)]) == 2
+        assert f"data error: cannot write {taken}" in capsys.readouterr().err
+    # a cut file whose name is taken by a directory
+    out = tmp_path / "cuts"
+    for k in range(1, 20):  # whisker:5x2x2 has 9 nodes
+        (out / f"cut_{k}.edges").mkdir(parents=True)
+    argv = ["cluster-sweep", "--gen", "whisker:5x2x2", "--emit-cuts", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"data error: cannot write {out / 'cut_'}" in capsys.readouterr().err
+    assert taken.read_text() == "a regular file, not a directory\n"
+
+
 def test_numerical_error_exit_code(tmp_path, capsys):
     for spec in ("grid:5x5", "grid:30x17"):  # dense and shift-invert routes
         argv = ["gap", "--gen", spec, "--boundary", "grid-perimeter", "--tol", "1e-30"]

@@ -8,6 +8,7 @@ import pytest
 
 import dirspec as ds
 from dirspec.clustering import (
+    CutRecord,
     Embedding,
     aggregate_row,
     embed,
@@ -35,6 +36,13 @@ def _quiet_boundary(g, policy, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return ds.resolve_boundary(g, policy, **kw)
+
+
+def _id_set(ids) -> set[int]:
+    """The members of a node-id array, checked to be ascending, distinct int64."""
+    assert isinstance(ids, np.ndarray) and ids.dtype == np.int64
+    assert (np.diff(ids) > 0).all()
+    return set(ids.tolist())
 
 
 def test_embed_p3_structure():
@@ -125,16 +133,16 @@ def test_reattach_boundary_rules():
     w = ds.gen_whisker(4, 2, 2)  # tips are ids 5 and 7
     b = _quiet_boundary(w, "degree-one")
     assert b.nodes == {5, 7}
-    assert reattach_boundary(w, b, {4}) == {4, 5}  # tip follows its path neighbor
-    assert reattach_boundary(w, b, {0, 1}) == {0, 1}  # tip's neighbor outside: stays
+    assert _id_set(reattach_boundary(w, b, {4})) == {4, 5}  # tip follows its path neighbor
+    assert _id_set(reattach_boundary(w, b, {0, 1})) == {0, 1}  # tip's neighbor outside: stays
     with pytest.raises(DataError):
         reattach_boundary(w, b, {5})
 
     # exact tie stays outside: boundary node with one interior neighbor in, one out
     g = ds.build_graph([("b", "u"), ("b", "v"), ("u", "v"), ("u", "w"), ("v", "w")])
     bb = ds.resolve_boundary(g, "explicit-list", explicit=[0])
-    assert reattach_boundary(g, bb, {1}) == {1}
-    assert reattach_boundary(g, bb, {1, 2}) == {0, 1, 2}
+    assert _id_set(reattach_boundary(g, bb, {1})) == {1}
+    assert _id_set(reattach_boundary(g, bb, {1, 2})) == {0, 1, 2}
 
 
 def test_sweep_identical_rankings_all_tied(two_triangle):
@@ -245,7 +253,7 @@ def test_reattach_boundary_matches_slow_majority():
         for order in (interior, rng.permutation(interior)):
             for j in range(interior.size + 1):
                 prefix = order[:j]
-                assert reattach_boundary(g, b, prefix) == slow_reattach_boundary(
+                assert _id_set(reattach_boundary(g, b, prefix)) == slow_reattach_boundary(
                     g, b.nodes, prefix
                 )
                 inside = set(int(v) for v in prefix)
@@ -257,13 +265,25 @@ def test_reattach_boundary_matches_slow_majority():
 
 
 def test_reattach_boundary_one_spec_on_two_graphs():
-    # the boundary-interior edges are kept per spec; a spec used on another
-    # graph with the same boundary ids must not reuse the first graph's edges
+    # a spec used on another graph with the same boundary ids must select
+    # that graph's boundary-interior edges, not the first graph's
     g1, g2 = path_graph(6), ds.gen_grid(2, 3)
     b = ds.resolve_boundary(g1, "explicit-list", explicit=[0, 5])
     for prefix in ([1], [2, 3], [1, 2, 3, 4], [4], [1], [3, 4]):
         for g in (g1, g2, g1):
-            assert reattach_boundary(g, b, prefix) == slow_reattach_boundary(g, b.nodes, prefix)
+            expected = slow_reattach_boundary(g, b.nodes, prefix)
+            assert _id_set(reattach_boundary(g, b, prefix)) == expected
+
+
+def test_sweep_and_reattach_leave_the_boundary_spec_unchanged():
+    # the frozen spec holds its policy and nodes only: no cache is written into it
+    g = ds.gen_whisker(12, 5, 3)
+    b = _quiet_boundary(g, "degree-one")
+    assert set(vars(b)) == {"policy", "nodes"}
+    reattach_boundary(g, b, b.interior(g)[:4])
+    assert set(vars(b)) == {"policy", "nodes"}
+    sweep(g, b)
+    assert set(vars(b)) == {"policy", "nodes"}
 
 
 @pytest.mark.parametrize("bad", [-1, 29, np.array([0, -2]), np.array([3, 29])], ids=repr)
@@ -298,8 +318,17 @@ def test_out_of_range_ids_raise(call, bad):
         lambda g, b, s: ds.induced_subgraph(g, s),
         lambda g, b, s: evaluate_cut(g, s, "traditional"),
         lambda g, b, s: reattach_boundary(g, b, s),
+        lambda g, b, s: ds.local_cheeger_ratio(g, b, s),
     ],
-    ids=["volume", "edge_boundary", "components", "induced_subgraph", "evaluate_cut", "reattach"],
+    ids=[
+        "volume",
+        "edge_boundary",
+        "components",
+        "induced_subgraph",
+        "evaluate_cut",
+        "reattach",
+        "local_cheeger_ratio",
+    ],
 )
 def test_boolean_mask_as_node_set_raises(call):
     g = ds.gen_grid(4, 4)
@@ -315,9 +344,9 @@ def test_boolean_mask_as_node_set_raises(call):
 
 
 def test_sweep_report_memory_is_linear():
-    """A second sweep (graph caches and the boundary's edges already built)
-    allocates and keeps little: the report holds one insertion order, each
-    row's Dirichlet cut a view of its prefix, not one set per row."""
+    """A second sweep (graph caches already built) allocates and keeps
+    little: the report holds one insertion order, each row's Dirichlet cut a
+    view of its prefix, not one set per row."""
     import tracemalloc
 
     g = ds.gen_random_connected(600, 0.012, 3)
@@ -379,7 +408,7 @@ def test_evaluate_cut_scores_through_public_primitives(monkeypatch):
         original = getattr(module, name)
 
         def wrapper(*args):
-            calls.append((name, frozenset(int(v) for v in args[1])))
+            calls.append((name, args[1]))
             return original(*args)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -392,8 +421,11 @@ def test_evaluate_cut_scores_through_public_primitives(monkeypatch):
     spy(cheeger, "edge_boundary")
     rec = evaluate_cut(g, np.array([3, 1, 2, 3]), "traditional")
     names = ["cheeger_ratio", "volume", "edge_boundary", "components"]
-    assert calls == [(name, frozenset({1, 2, 3})) for name in names]
-    assert rec.nodes == frozenset({1, 2, 3})
+    assert [name for name, _ in calls] == names
+    # every primitive scores the ascending member ids, the duplicate once
+    assert all(_id_set(ids) == {1, 2, 3} for _, ids in calls)
+    members = {1, 2, 3}
+    assert rec == CutRecord(h=_slow_cheeger_ratio(g, members), c=slow_components(g, members))
 
 
 def test_sweep_cut_sizes_nondecreasing_and_nested():
@@ -403,9 +435,9 @@ def test_sweep_cut_sizes_nondecreasing_and_nested():
     e = embed(m)
     centers, assign = two_means(e)
     order = rank_nodes(g, e, centers, assign)
-    prev: frozenset[int] = frozenset()
+    prev: set[int] = set()
     for j in range(1, len(order)):
-        cut = reattach_boundary(g, b, order[:j])
+        cut = _id_set(reattach_boundary(g, b, order[:j]))
         assert prev <= cut
         prev = cut
 
@@ -441,8 +473,9 @@ def test_sweep_requires_interior():
 
 def test_evaluate_cut_record(two_triangle):
     rec = evaluate_cut(two_triangle, {0, 1, 2}, "dirichlet")
-    assert rec.size == 3
     assert rec.h == 1 / 7
     assert rec.c == 1
-    assert rec.method == "dirichlet"
-    assert rec.nodes == {0, 1, 2}
+    # the record keeps the score only: the same for duplicate ids, either
+    # order and either method
+    assert rec == evaluate_cut(two_triangle, np.array([2, 0, 1, 0]), "traditional")
+    assert set(vars(rec)) == {"h", "c"}
