@@ -29,7 +29,6 @@ from .graph import (
     BoundarySpec,
     CleaningReport,
     Graph,
-    NodeSet,
     build_graph,
     components,
     edge_boundary,

@@ -9,26 +9,26 @@ with bitmask arithmetic, comparing ratios exactly as integer fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import DataError
-from .graph import BoundarySpec, Graph, NodeSet, edge_boundary, volume
+from .graph import BoundarySpec, Graph, edge_boundary, volume
 
 BRUTE_FORCE_CAP = 20
 
 
 @dataclass(frozen=True)
 class CheegerReport:
-    """A Cheeger value with the subset achieving it."""
+    """A Cheeger value with the subset achieving it, as ascending read-only int64 ids."""
 
     value: float
-    witness: NodeSet
+    witness: np.ndarray
     kind: str  # global-ratio | global-constant | local-ratio | local-constant
 
 
-def cheeger_ratio(g: Graph, s: NodeSet) -> float:
+def cheeger_ratio(g: Graph, s: Iterable[int]) -> float:
     """e(S, ~S) / min(vol S, vol ~S) for a nonempty proper subset S."""
     s = np.flatnonzero(g.node_mask(s))  # read s once: it may be an iterator
     vol_s = volume(g, s)
@@ -38,7 +38,7 @@ def cheeger_ratio(g: Graph, s: NodeSet) -> float:
     return edge_boundary(g, s) / min(vol_s, vol_rest)
 
 
-def local_cheeger_ratio(g: Graph, b: BoundarySpec, t: NodeSet) -> float:
+def local_cheeger_ratio(g: Graph, b: BoundarySpec, t: Iterable[int]) -> float:
     """e(T, ~T) / vol(T) for a nonempty T disjoint from the boundary."""
     inset = g.node_mask(t)
     if (inset & g.node_mask(b.nodes, allow_empty=True)).any():
@@ -66,18 +66,21 @@ def _lex_key(mask: int) -> tuple[int, ...]:
 
 
 def _minimum_ratio_subset(
-    deg: list[int], nbr: list[int], denominator: Callable[[int], int]
-) -> tuple[int, int, int]:
-    """Exact minimum of e(S, ~S) / denominator(vol S) over nonempty position sets.
+    g: Graph, ids: np.ndarray, denominator: Callable[[int], int]
+) -> tuple[float, np.ndarray]:
+    """Exact minimum of e(S, ~S) / denominator(vol S) over nonempty subsets of ``ids``.
 
-    ``deg[i]`` is the full-graph degree of position i and ``nbr[i]`` the
+    Position i stands for node ``ids[i]``, with its full-graph degree and the
     bitmask of its neighbors among the positions.  Volume and the inside edge
     count of each subset extend those of the subset without its lowest
-    member, so enumeration is 2^len(deg).  Subsets whose denominator is 0
+    member, so enumeration is 2^len(ids).  Subsets whose denominator is 0
     have no ratio and are skipped.  Ratios compare exactly as integer cross
     products; ties break to the lexicographically smallest membership
-    sequence.  Returns (cut edges, denominator, subset bitmask).
+    sequence.  Returns the ratio and the minimizing subset's ids, ascending
+    when ``ids`` is.
     """
+    deg = g.degree[ids].tolist()
+    nbr = _neighbor_masks(g, ids.tolist())
     size = 1 << len(deg)
     vol = [0] * size
     within = [0] * size  # doubled count of edges inside the subset
@@ -96,7 +99,9 @@ def _minimum_ratio_subset(
             best_e, best_den, best_mask = cut, den, s
         elif cut * best_den == best_e * den and _lex_key(s) < _lex_key(best_mask):
             best_mask = s
-    return best_e, best_den, best_mask
+    witness = ids[list(_lex_key(best_mask))]
+    witness.flags.writeable = False
+    return best_e / best_den, witness
 
 
 def brute_force_cheeger_constant(g: Graph) -> CheegerReport:
@@ -108,34 +113,20 @@ def brute_force_cheeger_constant(g: Graph) -> CheegerReport:
     n = g.node_count
     if n > BRUTE_FORCE_CAP:
         raise DataError(f"graph too large for brute force ({n} > {BRUTE_FORCE_CAP})")
-    nodes = list(range(n))
     total_vol = 2 * g.edge_count
     # the full set is the one subset with min(vol, total - vol) == 0
-    cut, den, mask = _minimum_ratio_subset(
-        [int(d) for d in g.degree],
-        _neighbor_masks(g, nodes),
-        lambda vol: min(vol, total_vol - vol),
-    )
-    return CheegerReport(
-        value=cut / den,
-        witness=frozenset(_lex_key(mask)),
-        kind="global-constant",
-    )
+    value, witness = _minimum_ratio_subset(g, np.arange(n), lambda v: min(v, total_vol - v))
+    return CheegerReport(value=value, witness=witness, kind="global-constant")
 
 
 def brute_force_local_cheeger_constant(g: Graph, b: BoundarySpec) -> CheegerReport:
     """Exact minimum local ratio over all nonempty subsets of the interior."""
-    interior = [int(v) for v in b.interior(g)]
-    m = len(interior)
+    interior = b.interior(g)
+    m = interior.size
     if m == 0:
         raise DataError("empty interior")
     if m > BRUTE_FORCE_CAP:
         raise DataError(f"interior too large for brute force ({m} > {BRUTE_FORCE_CAP})")
     # positions are interior nodes, so only interior-interior edges are inside
-    cut, den, mask = _minimum_ratio_subset(
-        [int(g.degree[v]) for v in interior],
-        _neighbor_masks(g, interior),
-        lambda vol: vol,
-    )
-    witness = frozenset(interior[i] for i in _lex_key(mask))
-    return CheegerReport(value=cut / den, witness=witness, kind="local-constant")
+    value, witness = _minimum_ratio_subset(g, interior, lambda vol: vol)
+    return CheegerReport(value=value, witness=witness, kind="local-constant")

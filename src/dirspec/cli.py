@@ -86,7 +86,7 @@ def _load_graph(args, path: str | None = None) -> Graph:
 def _dirichlet_cell(g: Graph, b: BoundarySpec, tol: float) -> float | None:
     """The Dirichlet gap, or None (an empty cell) for an empty boundary: the operator
     is then the full Laplacian, whose exact 0 would print as rounding noise."""
-    return dirichlet_gap(g, b, tol=tol) if b.nodes else None
+    return dirichlet_gap(g, b, tol=tol) if b.nodes.size else None
 
 
 def _outpath(args, name: str) -> str:
@@ -115,7 +115,7 @@ def cmd_gap(args) -> int:
             (
                 g.node_count,
                 g.edge_count,
-                len(b.nodes),
+                b.nodes.size,
                 spectral_gap(g, tol=args.tol),
                 _dirichlet_cell(g, b, tol=args.tol),
             )

@@ -77,8 +77,8 @@ class SweepReport:
     """Size-paired cut comparison plus the four-category aggregate.
 
     ``dirichlet_cuts[i]`` is the Dirichlet cut of ``rows[i]``: a view of the
-    first ``rows[i].k`` ids of one int64 insertion order, so the cuts share
-    one array and no row copies its members.
+    first ``rows[i].k`` ids of one read-only int64 insertion order, so the
+    cuts share one array and no row copies its members.
     """
 
     rows: tuple[SweepRow, ...]
@@ -159,7 +159,8 @@ def rank_nodes(
 def reattach_boundary(g: Graph, b: BoundarySpec, interior_cut: Iterable[int]) -> np.ndarray:
     """Pull each boundary node into the cut when most of its interior
     neighbors are inside; exact ties and neighbor-less nodes stay outside.
-    Returns the ascending int64 ids of the cut with its reattached nodes.
+    Returns the ascending, read-only int64 ids of the cut with its
+    reattached nodes.
 
     Selects the edges that join the boundary to the interior on each call;
     one bincount over them counts each boundary node's interior neighbors,
@@ -176,7 +177,9 @@ def reattach_boundary(g: Graph, b: BoundarySpec, interior_cut: Iterable[int]) ->
     inner = np.where(u_stub, ev, eu)[cross]
     inside = np.bincount(stub[cut[inner]], minlength=g.node_count)
     total = np.bincount(stub, minlength=g.node_count)
-    return np.flatnonzero(cut | (2 * inside > total))
+    ids = np.flatnonzero(cut | (2 * inside > total))
+    ids.flags.writeable = False
+    return ids
 
 
 def _ranking(g: Graph, m: SymmetricMatrix, tol: float) -> np.ndarray:
@@ -243,6 +246,7 @@ def sweep(
                 gt_gt += 1
     count = len(rows)
     order = np.concatenate(inserted)
+    order.flags.writeable = False  # every row's cut is a view of it
     return SweepReport(
         rows=tuple(rows),
         dirichlet_cuts=tuple(order[: r.k] for r in rows),

@@ -19,8 +19,6 @@ from scipy.sparse import csgraph
 
 from .errors import DataError
 
-NodeSet = frozenset[int]
-
 BOUNDARY_POLICIES = (
     "degree-one",
     "leaves",
@@ -74,18 +72,22 @@ class Graph:
     def node_mask(self, s: Iterable[int], allow_empty: bool = False) -> np.ndarray:
         """Boolean membership mask of a node set over the ids; duplicates collapse.
 
-        Raises DataError for an empty set unless ``allow_empty``, for ids
-        outside 0..n-1, and for a boolean array, whose values would otherwise
-        read as the ids 0 and 1.  Negative ids are checked before indexing,
-        because the mask would otherwise wrap them around to nodes counted
-        from the end.
+        The set must hold integer ids: a float, a string (a label is not its
+        id), an integer past int64 or a boolean raises DataError, as do a
+        boolean array, whose values would read as the ids 0 and 1, an empty
+        set unless ``allow_empty``, and ids outside 0..n-1, negative ones
+        included: the mask would wrap them around to nodes counted from the end.
         """
-        if isinstance(s, np.ndarray):
-            if s.dtype == bool:
-                raise DataError("boolean array given as a node set; pass node ids")
-            ids = s.astype(np.int64, copy=False)
-        else:
-            ids = np.fromiter(s, dtype=np.int64)
+        if not isinstance(s, np.ndarray):
+            s = list(s)
+            if any(isinstance(v, (bool, np.bool_)) for v in s):
+                raise DataError("boolean given as a node id; pass node ids")
+            s = np.array(s) if s else np.empty(0, dtype=np.int64)
+        if s.dtype == bool:
+            raise DataError("boolean array given as a node set; pass node ids")
+        if s.dtype.kind not in "iu":  # uint64 past int64 wraps negative: out of range
+            raise DataError(f"node ids must be 64-bit integers, not {s.dtype}")
+        ids = s.astype(np.int64, copy=False)
         if ids.size == 0:
             if not allow_empty:
                 raise DataError("empty node set")
@@ -360,10 +362,12 @@ def largest_component(g: Graph) -> Graph:
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """A boundary policy together with the resolved node set it selects."""
+    """A boundary policy together with the resolved node set it selects:
+    ``nodes`` holds ascending, distinct, read-only int64 ids, so a spec
+    supports neither ``==`` nor ``hash`` (compare the fields)."""
 
     policy: str
-    nodes: NodeSet
+    nodes: np.ndarray
 
     def interior(self, g: Graph) -> np.ndarray:
         """Ascending ids of the non-boundary nodes."""
@@ -397,9 +401,9 @@ def resolve_boundary(
         raise DataError(f"unknown boundary policy: {policy!r}")
 
     if policy in ("degree-one", "leaves"):
-        nodes = frozenset(int(v) for v in np.flatnonzero(g.degree == 1))
+        nodes = np.flatnonzero(g.degree == 1)
     elif policy == "grid-perimeter":
-        nodes = frozenset(int(v) for v in np.flatnonzero(g.degree < 4))
+        nodes = np.flatnonzero(g.degree < 4)
     elif policy == "radius-cut":
         if parent is None or parent_nodes is None:
             raise DataError("radius-cut boundary requires the parent graph and node set")
@@ -412,15 +416,16 @@ def resolve_boundary(
         picked = parent.degree == 1
         picked[eu[cross]] = True
         picked[ev[cross]] = True
-        nodes = frozenset(np.flatnonzero(picked[parent_ids]).tolist())
+        nodes = np.flatnonzero(picked[parent_ids])
     else:  # explicit-list
         if explicit is None:
             raise DataError("explicit-list boundary requires the node ids")
-        nodes = frozenset(np.flatnonzero(g.node_mask(explicit, allow_empty=True)).tolist())
+        nodes = np.flatnonzero(g.node_mask(explicit, allow_empty=True))
+    nodes.flags.writeable = False
 
-    if len(nodes) == g.node_count:
+    if nodes.size == g.node_count:
         raise DataError(f"no interior: boundary policy {policy!r} selected every node")
-    if not nodes:
+    if nodes.size == 0:
         warnings.warn(
             "empty boundary: Dirichlet operators will equal the full Laplacian",
             stacklevel=2,

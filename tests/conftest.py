@@ -50,6 +50,13 @@ def star_graph(leaves: int) -> ds.Graph:
     return ds.build_graph([("hub", f"leaf{i}") for i in range(leaves)])
 
 
+def id_set(ids) -> set[int]:
+    """The members of a node-id array, checked to be ascending, distinct int64."""
+    assert isinstance(ids, np.ndarray) and ids.dtype == np.int64
+    assert (np.diff(ids) > 0).all()
+    return set(ids.tolist())
+
+
 def slow_volume(g: ds.Graph, s) -> int:
     return sum(int(g.degree[v]) for v in set(s))
 
@@ -289,7 +296,8 @@ def slow_grow_rows(g: ds.Graph, tol: float = 1e-8) -> list[tuple]:
         nodes = slow_radius_cut(sub, g, members)
         if 0 < len(nodes) < sub.node_count:  # else no boundary or "no interior"
             try:
-                diri = ds.dirichlet_gap(sub, ds.BoundarySpec("radius-cut", nodes), tol=tol)
+                spec = ds.BoundarySpec("radius-cut", np.array(sorted(nodes), dtype=np.int64))
+                diri = ds.dirichlet_gap(sub, spec, tol=tol)
             except DirspecError:
                 pass
         rows.append((radius, sub.node_count, trad, diri))

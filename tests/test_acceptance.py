@@ -185,7 +185,7 @@ def local_suite_cases(count: int):
         bsize = 1 + int(rng.integers(0, n - 2))
         ids = [int(v) for v in rng.permutation(n)[:bsize]]
         b = quiet_boundary(g, "explicit-list", explicit=ids)
-        if not b.nodes or not 1 <= g.node_count - len(b.nodes) <= 12:
+        if b.nodes.size == 0 or not 1 <= g.node_count - b.nodes.size <= 12:
             continue
         produced += 1
         yield g, b

@@ -15,6 +15,7 @@ from dirspec.errors import DataError
 
 from conftest import (
     cycle_graph,
+    id_set,
     path_graph,
     random_graph_suite,
     slow_cheeger_constant,
@@ -109,23 +110,35 @@ def test_brute_force_size_cap():
         brute_force_cheeger_constant(ds.gen_grid(5, 5))
 
 
+def test_brute_force_witnesses_are_ascending_read_only_int64_ids():
+    tree = ds.gen_tree(3, 2)
+    reports = [
+        brute_force_cheeger_constant(tree),
+        brute_force_local_cheeger_constant(tree, ds.resolve_boundary(tree, "leaves")),
+    ]
+    for rep in reports:
+        assert id_set(rep.witness)  # int64, strictly ascending, nonempty
+        with pytest.raises(ValueError, match="read-only"):
+            rep.witness[0] = 0
+
+
 def test_brute_force_local_examples():
     star = star_graph(3)
     rep = brute_force_local_cheeger_constant(star, ds.resolve_boundary(star, "leaves"))
     assert rep.value == 1.0
-    assert rep.witness == {0}
+    assert id_set(rep.witness) == {0}
     assert rep.kind == "local-constant"
 
     p4 = path_graph(4)
     b = ds.resolve_boundary(p4, "explicit-list", explicit=[0, 3])
     rep = brute_force_local_cheeger_constant(p4, b)
     assert rep.value == 0.5  # min(2/2, 2/2, 2/4) over {1},{2},{1,2}
-    assert rep.witness == {1, 2}
+    assert id_set(rep.witness) == {1, 2}
 
     tree = ds.gen_tree(3, 2)
     rep = brute_force_local_cheeger_constant(tree, ds.resolve_boundary(tree, "leaves"))
     assert rep.value == 0.5
-    assert rep.witness == {0, 1, 2, 3}
+    assert id_set(rep.witness) == {0, 1, 2, 3}
 
 
 def test_brute_force_local_matches_slow_enumeration():
@@ -136,7 +149,7 @@ def test_brute_force_local_matches_slow_enumeration():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             b = ds.resolve_boundary(g, "explicit-list", explicit=ids)
-        if not b.nodes:
+        if b.nodes.size == 0:
             continue
         rep = brute_force_local_cheeger_constant(g, b)
         best, witness = slow_local_cheeger_constant(g, b.interior(g))
@@ -166,7 +179,7 @@ def test_local_cheeger_inequality_small_graphs():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             b = ds.resolve_boundary(g, "explicit-list", explicit=ids)
-        if not b.nodes:
+        if b.nodes.size == 0:
             continue
         h_local = brute_force_local_cheeger_constant(g, b).value
         lam = ds.dirichlet_gap(g, b)

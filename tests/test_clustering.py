@@ -23,6 +23,7 @@ from dirspec.errors import DataError, NumericalError
 from dirspec.spectral import build_dirichlet_laplacian, build_normalized_laplacian
 
 from conftest import (
+    id_set,
     path_graph,
     random_graph_suite,
     slow_components,
@@ -36,13 +37,6 @@ def _quiet_boundary(g, policy, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return ds.resolve_boundary(g, policy, **kw)
-
-
-def _id_set(ids) -> set[int]:
-    """The members of a node-id array, checked to be ascending, distinct int64."""
-    assert isinstance(ids, np.ndarray) and ids.dtype == np.int64
-    assert (np.diff(ids) > 0).all()
-    return set(ids.tolist())
 
 
 def test_embed_p3_structure():
@@ -132,17 +126,17 @@ def test_rank_nodes_separated_clusters_ordering():
 def test_reattach_boundary_rules():
     w = ds.gen_whisker(4, 2, 2)  # tips are ids 5 and 7
     b = _quiet_boundary(w, "degree-one")
-    assert b.nodes == {5, 7}
-    assert _id_set(reattach_boundary(w, b, {4})) == {4, 5}  # tip follows its path neighbor
-    assert _id_set(reattach_boundary(w, b, {0, 1})) == {0, 1}  # tip's neighbor outside: stays
+    assert id_set(b.nodes) == {5, 7}
+    assert id_set(reattach_boundary(w, b, {4})) == {4, 5}  # tip follows its path neighbor
+    assert id_set(reattach_boundary(w, b, {0, 1})) == {0, 1}  # tip's neighbor outside: stays
     with pytest.raises(DataError):
         reattach_boundary(w, b, {5})
 
     # exact tie stays outside: boundary node with one interior neighbor in, one out
     g = ds.build_graph([("b", "u"), ("b", "v"), ("u", "v"), ("u", "w"), ("v", "w")])
     bb = ds.resolve_boundary(g, "explicit-list", explicit=[0])
-    assert _id_set(reattach_boundary(g, bb, {1})) == {1}
-    assert _id_set(reattach_boundary(g, bb, {1, 2})) == {0, 1, 2}
+    assert id_set(reattach_boundary(g, bb, {1})) == {1}
+    assert id_set(reattach_boundary(g, bb, {1, 2})) == {0, 1, 2}
 
 
 def test_sweep_identical_rankings_all_tied(two_triangle):
@@ -253,7 +247,7 @@ def test_reattach_boundary_matches_slow_majority():
         for order in (interior, rng.permutation(interior)):
             for j in range(interior.size + 1):
                 prefix = order[:j]
-                assert _id_set(reattach_boundary(g, b, prefix)) == slow_reattach_boundary(
+                assert id_set(reattach_boundary(g, b, prefix)) == slow_reattach_boundary(
                     g, b.nodes, prefix
                 )
                 inside = set(int(v) for v in prefix)
@@ -272,7 +266,7 @@ def test_reattach_boundary_one_spec_on_two_graphs():
     for prefix in ([1], [2, 3], [1, 2, 3, 4], [4], [1], [3, 4]):
         for g in (g1, g2, g1):
             expected = slow_reattach_boundary(g, b.nodes, prefix)
-            assert _id_set(reattach_boundary(g, b, prefix)) == expected
+            assert id_set(reattach_boundary(g, b, prefix)) == expected
 
 
 def test_sweep_and_reattach_leave_the_boundary_spec_unchanged():
@@ -284,6 +278,16 @@ def test_sweep_and_reattach_leave_the_boundary_spec_unchanged():
     assert set(vars(b)) == {"policy", "nodes"}
     sweep(g, b)
     assert set(vars(b)) == {"policy", "nodes"}
+
+
+def test_reattached_and_reported_cuts_are_read_only():
+    # the report's cuts share one array: writing to one would change the others
+    g = ds.gen_whisker(12, 5, 3)
+    b = _quiet_boundary(g, "degree-one")
+    for cut in (reattach_boundary(g, b, b.interior(g)[:4]), *sweep(g, b).dirichlet_cuts):
+        assert cut.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            cut[0] = 0
 
 
 @pytest.mark.parametrize("bad", [-1, 29, np.array([0, -2]), np.array([3, 29])], ids=repr)
@@ -423,7 +427,7 @@ def test_evaluate_cut_scores_through_public_primitives(monkeypatch):
     names = ["cheeger_ratio", "volume", "edge_boundary", "components"]
     assert [name for name, _ in calls] == names
     # every primitive scores the ascending member ids, the duplicate once
-    assert all(_id_set(ids) == {1, 2, 3} for _, ids in calls)
+    assert all(id_set(ids) == {1, 2, 3} for _, ids in calls)
     members = {1, 2, 3}
     assert rec == CutRecord(h=_slow_cheeger_ratio(g, members), c=slow_components(g, members))
 
@@ -437,7 +441,7 @@ def test_sweep_cut_sizes_nondecreasing_and_nested():
     order = rank_nodes(g, e, centers, assign)
     prev: set[int] = set()
     for j in range(1, len(order)):
-        cut = _id_set(reattach_boundary(g, b, order[:j]))
+        cut = id_set(reattach_boundary(g, b, order[:j]))
         assert prev <= cut
         prev = cut
 

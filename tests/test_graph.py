@@ -7,11 +7,12 @@ import pytest
 
 import dirspec as ds
 from dirspec.errors import DataError
-from dirspec.graph import _pruned_distance_sums, distances_from
+from dirspec.graph import BOUNDARY_POLICIES, _pruned_distance_sums, distances_from
 
 from conftest import (
     complete_graph,
     cycle_graph,
+    id_set,
     isp_like_graph,
     path_graph,
     random_graph_suite,
@@ -227,14 +228,14 @@ def test_resolve_boundary_degree_one_and_leaves():
     tree = ds.gen_tree(3, 3)
     b = ds.resolve_boundary(tree, "leaves")
     expected = frozenset(int(v) for v in np.flatnonzero(tree.degree == 1))
-    assert b.nodes == expected
-    assert ds.resolve_boundary(tree, "degree-one").nodes == expected
+    assert id_set(b.nodes) == expected
+    assert id_set(ds.resolve_boundary(tree, "degree-one").nodes) == expected
     for g in random_graph_suite(6, (4, 9), seed_base=600):
         try:
             b = ds.resolve_boundary(g, "degree-one")
         except DataError:
             continue
-        assert b.nodes == frozenset(int(v) for v in np.flatnonzero(g.degree == 1))
+        assert id_set(b.nodes) == frozenset(int(v) for v in np.flatnonzero(g.degree == 1))
 
 
 def test_resolve_boundary_grid_perimeter():
@@ -255,18 +256,62 @@ def test_resolve_boundary_no_interior():
 def test_resolve_boundary_empty_warns(two_triangle):
     with pytest.warns(UserWarning, match="empty boundary"):
         b = ds.resolve_boundary(two_triangle, "degree-one")
-    assert b.nodes == frozenset()
+    assert id_set(b.nodes) == frozenset()
 
 
 def test_resolve_boundary_explicit():
     p5 = path_graph(5)
     b = ds.resolve_boundary(p5, "explicit-list", explicit=[0, 4])
-    assert b.nodes == {0, 4}
+    assert id_set(b.nodes) == {0, 4}
     assert list(b.interior(p5)) == [1, 2, 3]
     with pytest.raises(DataError, match="out of range"):
         ds.resolve_boundary(p5, "explicit-list", explicit=[9])
     with pytest.raises(DataError, match="unknown boundary policy"):
         ds.resolve_boundary(p5, "perimeter")
+
+
+def test_boundary_nodes_are_ascending_read_only_int64_ids():
+    w = ds.gen_whisker(6, 2, 3)
+    members = np.flatnonzero(distances_from(w, ds.one_median(w)) <= 2)
+    sub = ds.induced_subgraph(w, members)
+    specs = [
+        ds.resolve_boundary(w, "degree-one"),
+        ds.resolve_boundary(ds.gen_tree(3, 3), "leaves"),
+        ds.resolve_boundary(ds.gen_grid(5, 6), "grid-perimeter"),
+        ds.resolve_boundary(sub, "radius-cut", parent=w, parent_nodes=members[::-1]),
+        ds.resolve_boundary(path_graph(9), "explicit-list", explicit=[7, 2, 7, 0, 2]),
+    ]
+    assert tuple(b.policy for b in specs) == BOUNDARY_POLICIES
+    for b in specs:
+        assert b.nodes.size > 0 and id_set(b.nodes)  # id_set: int64, strictly ascending
+        with pytest.raises(ValueError, match="read-only"):
+            b.nodes[0] = b.nodes[-1]
+    assert specs[-1].nodes.tolist() == [0, 2, 7]
+
+
+@pytest.mark.parametrize(
+    "ids, match",
+    [
+        ([0.7], "integers"),
+        (np.array([1.9]), "integers"),
+        (["1"], "integers"),  # a label, not the id 1
+        ([True, False], "boolean"),
+        ([True, 1], "boolean"),
+        ([0.5, 8.2], "integers"),
+        ([2**70], "integers"),
+        (np.array([], dtype=float), "integers"),
+    ],
+    ids=repr,
+)
+def test_non_integer_node_ids_raise(ids, match):
+    g = ds.gen_grid(3, 3)
+    with pytest.raises(DataError, match=match):
+        ds.volume(g, ids)
+    with pytest.raises(DataError, match=match):
+        ds.resolve_boundary(g, "explicit-list", explicit=ids)
+    # integer ids of any width, in any container, are accepted
+    for ok in ([0, 8], (0, 8), {0, 8}, np.array([0, 8], dtype=np.uint8), [np.int32(0), 8]):
+        assert ds.volume(g, ok) == 4
 
 
 def test_resolve_boundary_radius_cut():
@@ -275,13 +320,13 @@ def test_resolve_boundary_radius_cut():
     members = slow_ball(w, center, 2)
     sub = ds.induced_subgraph(w, members)
     b = ds.resolve_boundary(sub, "radius-cut", parent=w, parent_nodes=members)
-    assert b.nodes == slow_radius_cut(sub, w, members)
+    assert id_set(b.nodes) == slow_radius_cut(sub, w, members)
     # at full radius the rule degenerates to the degree-one policy
     full = slow_ball(w, center, slow_eccentricity(w, center))
     sub_full = ds.induced_subgraph(w, full)
     b_full = ds.resolve_boundary(sub_full, "radius-cut", parent=w, parent_nodes=full)
     deg1 = frozenset(int(v) for v in np.flatnonzero(sub_full.degree == 1))
-    assert b_full.nodes == deg1
+    assert id_set(b_full.nodes) == deg1
     # the subgraph must be the one parent_nodes induces
     with pytest.raises(DataError, match="induced by parent_nodes"):
         ds.resolve_boundary(sub, "radius-cut", parent=w, parent_nodes=full)
@@ -310,7 +355,7 @@ def test_balls_subgraphs_and_radius_cut_match_slow_references(g):
             sub = ds.induced_subgraph(g, members)
             assert sub == slow_induced_subgraph(g, members)
             b = ds.resolve_boundary(sub, "radius-cut", parent=g, parent_nodes=members)
-            assert b.nodes == slow_radius_cut(sub, g, members)
+            assert id_set(b.nodes) == slow_radius_cut(sub, g, members)
 
 
 def test_is_connected_matches_bfs():

@@ -88,7 +88,7 @@ def test_dirichlet_empty_interior():
     p3 = path_graph(3)
     with pytest.raises(DataError, match="empty interior"):
         build_dirichlet_laplacian(
-            p3, ds.BoundarySpec("explicit-list", frozenset({0, 1, 2}))
+            p3, ds.BoundarySpec("explicit-list", np.array([0, 1, 2]))
         )
 
 

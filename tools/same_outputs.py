@@ -10,7 +10,11 @@ runs every workload's command on them in both trees: ``gap`` on the six
 gap-isp maps, ``grow`` on each grow-isp map, ``cluster-sweep --emit-cuts`` on
 each sweep-isp map and ``tree-converge --degree 3 --max-levels 200``, plus
 ``cluster-sweep --emit-cuts`` on two generated graphs (a whisker graph with a
-7-fold degenerate eigenvalue, and a grid with a ``--sizes`` filter).
+7-fold degenerate eigenvalue, and a grid with a ``--sizes`` filter), and
+``gap`` on three more, one per boundary path the other calls miss: a grid
+with the default ``degree-one`` policy, whose empty boundary leaves the
+Dirichlet cell empty, a tree with ``--boundary leaves``, and a grid with
+``--boundary grid-perimeter``.
 
 Each call writes into its own directory, with its exit code in the file
 ``rc``.  Every file is compared byte for byte; the script prints each file
@@ -36,6 +40,9 @@ GENERATED = [
     ("whisker", ["cluster-sweep", "--gen", "whisker:20x8x4", "--emit-cuts"]),
     ("grid", ["cluster-sweep", "--gen", "grid:12x12", "--boundary", "grid-perimeter",
               "--sizes", "5,20,40", "--emit-cuts"]),
+    ("gap-empty-boundary", ["gap", "--gen", "grid:10x10"]),
+    ("gap-leaves", ["gap", "--gen", "tree:3x6", "--boundary", "leaves"]),
+    ("gap-perimeter", ["gap", "--gen", "grid:30x30", "--boundary", "grid-perimeter"]),
 ]
 
 # Runs in a fresh interpreter per tree: argv[1] is the tree's src directory,
