@@ -26,16 +26,17 @@ from .clustering import (
 )
 from .errors import DataError, DirspecError, NumericalError
 from .graph import (
-    BoundarySpec,
     CleaningReport,
     Graph,
     build_graph,
     components,
     edge_boundary,
     induced_subgraph,
+    interior,
     is_connected,
     largest_component,
     one_median,
+    radius_cut,
     resolve_boundary,
     volume,
 )

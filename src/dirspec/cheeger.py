@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DataError
-from .graph import BoundarySpec, Graph, edge_boundary, volume
+from .graph import Graph, edge_boundary, interior, volume
 
 BRUTE_FORCE_CAP = 20
 
@@ -38,10 +38,10 @@ def cheeger_ratio(g: Graph, s: Iterable[int]) -> float:
     return edge_boundary(g, s) / min(vol_s, vol_rest)
 
 
-def local_cheeger_ratio(g: Graph, b: BoundarySpec, t: Iterable[int]) -> float:
+def local_cheeger_ratio(g: Graph, boundary: Iterable[int], t: Iterable[int]) -> float:
     """e(T, ~T) / vol(T) for a nonempty T disjoint from the boundary."""
     inset = g.node_mask(t)
-    if (inset & g.node_mask(b.nodes, allow_empty=True)).any():
+    if (inset & g.node_mask(boundary, allow_empty=True)).any():
         raise DataError("set overlaps the boundary; local ratio is undefined there")
     members = np.flatnonzero(inset)
     return edge_boundary(g, members) / volume(g, members)
@@ -119,14 +119,14 @@ def brute_force_cheeger_constant(g: Graph) -> CheegerReport:
     return CheegerReport(value=value, witness=witness, kind="global-constant")
 
 
-def brute_force_local_cheeger_constant(g: Graph, b: BoundarySpec) -> CheegerReport:
+def brute_force_local_cheeger_constant(g: Graph, boundary: Iterable[int]) -> CheegerReport:
     """Exact minimum local ratio over all nonempty subsets of the interior."""
-    interior = b.interior(g)
-    m = interior.size
+    inner = interior(g, boundary)
+    m = inner.size
     if m == 0:
         raise DataError("empty interior")
     if m > BRUTE_FORCE_CAP:
         raise DataError(f"interior too large for brute force ({m} > {BRUTE_FORCE_CAP})")
     # positions are interior nodes, so only interior-interior edges are inside
-    value, witness = _minimum_ratio_subset(g, interior, lambda vol: vol)
+    value, witness = _minimum_ratio_subset(g, inner, lambda vol: vol)
     return CheegerReport(value=value, witness=witness, kind="local-constant")

@@ -21,14 +21,14 @@ import sys
 import numpy as np
 
 from . import clustering, ingest
-from .errors import DataError, DirspecError, NumericalError
+from .errors import DataError, NumericalError
 from .graph import (
-    BoundarySpec,
+    BOUNDARY_POLICIES,
     Graph,
     distances_from,
-    induced_subgraph,
     largest_component,
     one_median,
+    radius_cut,
     resolve_boundary,
 )
 from .ingest import write_csv, write_graph
@@ -36,7 +36,6 @@ from .spectral import check_tolerance, dirichlet_gap, spectral_gap
 from .tree_spectrum import dirichlet_gap_analytic
 
 NUMERIC_TREE_LIMIT = 2048
-CLI_BOUNDARIES = ("degree-one", "leaves", "grid-perimeter")
 
 
 class UsageError(Exception):
@@ -83,10 +82,11 @@ def _load_graph(args, path: str | None = None) -> Graph:
     return largest
 
 
-def _dirichlet_cell(g: Graph, b: BoundarySpec, tol: float) -> float | None:
-    """The Dirichlet gap, or None (an empty cell) for an empty boundary: the operator
-    is then the full Laplacian, whose exact 0 would print as rounding noise."""
-    return dirichlet_gap(g, b, tol=tol) if b.nodes.size else None
+def _dirichlet_cell(g: Graph, boundary: np.ndarray, tol: float) -> float | None:
+    """The Dirichlet gap, or None (an empty cell) for an empty boundary, whose
+    operator is the full Laplacian with an exact 0 that would print as rounding
+    noise, and for a boundary covering every node, which leaves no operator."""
+    return dirichlet_gap(g, boundary, tol=tol) if 0 < boundary.size < g.node_count else None
 
 
 def _outpath(args, name: str) -> str:
@@ -110,14 +110,14 @@ def cmd_gap(args) -> int:
     rows = []
     for src in sources:
         g = _load_graph(args, src)
-        b = resolve_boundary(g, args.boundary)
+        boundary = resolve_boundary(g, args.boundary)
         rows.append(
             (
                 g.node_count,
                 g.edge_count,
-                b.nodes.size,
+                boundary.size,
                 spectral_gap(g, tol=args.tol),
-                _dirichlet_cell(g, b, tol=args.tol),
+                _dirichlet_cell(g, boundary, tol=args.tol),
             )
         )
     path = _outpath(args, "gap.csv")
@@ -147,24 +147,15 @@ def cmd_tree_converge(args) -> int:
 
 
 def cmd_grow(args) -> int:
-    check_tolerance(args.tol)  # the loop below skips a ball whose solve fails
+    check_tolerance(args.tol)
     src = args.input[0] if args.input else None
     g = _load_graph(args, src)
     dist = distances_from(g, one_median(g))
     rows = []
     for radius in range(1, int(dist.max()) + 1):
-        members = np.flatnonzero(dist <= radius)
-        sub = induced_subgraph(g, members)
-        trad = diri = None
-        try:
-            trad = spectral_gap(sub, tol=args.tol)
-        except DirspecError:
-            pass
-        try:
-            b = resolve_boundary(sub, "radius-cut", parent=g, parent_nodes=members)
-            diri = _dirichlet_cell(sub, b, tol=args.tol)
-        except DirspecError:
-            pass
+        sub, boundary = radius_cut(g, np.flatnonzero(dist <= radius))
+        trad = spectral_gap(sub, tol=args.tol)
+        diri = _dirichlet_cell(sub, boundary, tol=args.tol)
         rows.append((radius, sub.node_count, trad, diri))
     path = _outpath(args, "grow.csv")
     write_csv(path, ("r", "n_sub", "traditional_gap", "dirichlet_gap"), rows)
@@ -175,14 +166,14 @@ def cmd_grow(args) -> int:
 def cmd_cluster_sweep(args) -> int:
     src = args.input[0] if args.input else None
     g = _load_graph(args, src)
-    b = resolve_boundary(g, args.boundary)
+    boundary = resolve_boundary(g, args.boundary)
     sizes = None
     if args.sizes:
         try:
             sizes = [int(s) for s in args.sizes.split(",") if s]
         except ValueError as e:
             raise UsageError(f"bad --sizes list: {e}") from e
-    report = clustering.sweep(g, b, tol=args.tol, sizes=sizes)
+    report = clustering.sweep(g, boundary, tol=args.tol, sizes=sizes)
     sizes_path = _outpath(args, "sweep_sizes.csv")
     write_csv(sizes_path, clustering.SIZES_HEADER, clustering.size_rows(report))
     agg_path = _outpath(args, "sweep_aggregate.csv")
@@ -205,7 +196,7 @@ def _add_common(p: argparse.ArgumentParser, with_boundary: bool = True) -> None:
     p.add_argument("--tol", type=float, default=1e-8, help="eigensolver tolerance")
     p.add_argument("--out", default=".", help="output directory")
     if with_boundary:
-        p.add_argument("--boundary", choices=CLI_BOUNDARIES, default="degree-one")
+        p.add_argument("--boundary", choices=BOUNDARY_POLICIES, default="degree-one")
 
 
 def _add_source(p: argparse.ArgumentParser, multiple: bool = False) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cheeger import cheeger_ratio
 from .errors import DataError, NumericalError
-from .graph import BoundarySpec, Graph, components, is_connected
+from .graph import Graph, components, is_connected
 from .spectral import (
     SymmetricMatrix,
     build_dirichlet_laplacian,
@@ -156,7 +156,9 @@ def rank_nodes(
     return emb.node_ids[order]
 
 
-def reattach_boundary(g: Graph, b: BoundarySpec, interior_cut: Iterable[int]) -> np.ndarray:
+def reattach_boundary(
+    g: Graph, boundary: Iterable[int], interior_cut: Iterable[int]
+) -> np.ndarray:
     """Pull each boundary node into the cut when most of its interior
     neighbors are inside; exact ties and neighbor-less nodes stay outside.
     Returns the ascending, read-only int64 ids of the cut with its
@@ -167,7 +169,7 @@ def reattach_boundary(g: Graph, b: BoundarySpec, interior_cut: Iterable[int]) ->
     and one more counts those inside the cut.
     """
     cut = g.node_mask(interior_cut, allow_empty=True)
-    on_boundary = g.node_mask(b.nodes, allow_empty=True)
+    on_boundary = g.node_mask(boundary, allow_empty=True)
     if (cut & on_boundary).any():
         raise DataError("interior cut contains boundary nodes")
     eu, ev = g.edge_arrays
@@ -190,7 +192,7 @@ def _ranking(g: Graph, m: SymmetricMatrix, tol: float) -> np.ndarray:
 
 def sweep(
     g: Graph,
-    b: BoundarySpec,
+    boundary: Iterable[int],
     tol: float = 1e-8,
     sizes: Sequence[int] | None = None,
 ) -> SweepReport:
@@ -208,19 +210,20 @@ def sweep(
     """
     if not is_connected(g):
         raise DataError("sweep requires a connected graph")
-    interior = b.interior(g)
-    if interior.size < 2:
+    on_boundary = g.node_mask(boundary, allow_empty=True)  # read once: an iterator works
+    boundary, inner = np.flatnonzero(on_boundary), np.flatnonzero(~on_boundary)
+    if inner.size < 2:
         raise DataError("sweep requires at least two interior nodes")
 
-    order_d = _ranking(g, build_dirichlet_laplacian(g, b), tol)
+    order_d = _ranking(g, build_dirichlet_laplacian(g, boundary), tol)
     order_t = _ranking(g, build_normalized_laplacian(g), tol)
 
     wanted = set(int(s) for s in sizes) if sizes is not None else None
     rows: list[SweepRow] = []
     inserted: list[np.ndarray] = []
     prev = np.zeros(g.node_count, dtype=bool)  # the previous cut, as a mask
-    for j in range(1, interior.size):
-        cut = reattach_boundary(g, b, order_d[:j])
+    for j in range(1, inner.size):
+        cut = reattach_boundary(g, boundary, order_d[:j])
         inserted.append(cut[~prev[cut]])
         prev[cut] = True
         k = cut.size

@@ -19,13 +19,7 @@ from scipy.sparse import csgraph
 
 from .errors import DataError
 
-BOUNDARY_POLICIES = (
-    "degree-one",
-    "leaves",
-    "grid-perimeter",
-    "radius-cut",
-    "explicit-list",
-)
+BOUNDARY_POLICIES = ("degree-one", "leaves", "grid-perimeter")
 
 MEDIAN_BLOCK = 256  # sources per BFS block of one_median
 
@@ -178,15 +172,17 @@ def _assemble(
     v: np.ndarray,
     labels: Sequence[str] | None = None,
     cleaning: CleaningReport = CleaningReport(),
+    seen: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Graph:
     """The Graph of the edges (u[i], v[i]), given as ids.
 
     The one constructor of canonical graphs: dense ids follow first
     appearance in u0, v0, u1, v1, ..., and each adjacency row is sorted.
     The edges must hold no self-loop and no edge twice.  ``labels[x]``
-    names id x (default ``str(x)``).
+    names id x (default ``str(x)``).  ``seen`` is ``_first_seen(u, v)``
+    when the caller has it already.
     """
-    order, rank = _first_seen(u, v)
+    order, rank = _first_seen(u, v) if seen is None else seen
     k = order.size
     rows = rank[np.concatenate((u, v))]
     cols = rank[np.concatenate((v, u))]
@@ -360,38 +356,39 @@ def largest_component(g: Graph) -> Graph:
     return induced_subgraph(g, np.flatnonzero(labels == int(np.argmax(counts))))
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """A boundary policy together with the resolved node set it selects:
-    ``nodes`` holds ascending, distinct, read-only int64 ids, so a spec
-    supports neither ``==`` nor ``hash`` (compare the fields)."""
+def radius_cut(g: Graph, nodes: Iterable[int]) -> tuple[Graph, np.ndarray]:
+    """The subgraph induced by a node set, built as ``induced_subgraph`` builds
+    it, and its boundary: the ascending, read-only int64 ids of the subgraph
+    nodes with a parent edge leaving the set, plus those of parent degree 1.
 
-    policy: str
-    nodes: np.ndarray
+    In an induced subgraph a parent edge leaves the set exactly when a node
+    has fewer neighbors in the subgraph than in the parent, so the boundary
+    is read off the two degree arrays.  The boundary may be empty or cover
+    every node; neither warns nor raises here.
+    """
+    u, v = _induced_edges(g, g.node_mask(nodes))
+    seen = _first_seen(u, v)
+    sub = _assemble(u, v, g.labels, seen=seen)
+    parent_degree = g.degree[seen[0]]
+    boundary = np.flatnonzero((sub.degree < parent_degree) | (parent_degree == 1))
+    boundary.flags.writeable = False
+    return sub, boundary
 
-    def interior(self, g: Graph) -> np.ndarray:
-        """Ascending ids of the non-boundary nodes."""
-        return np.flatnonzero(~g.node_mask(self.nodes, allow_empty=True))
+
+def interior(g: Graph, boundary: Iterable[int]) -> np.ndarray:
+    """Ascending, read-only int64 ids of the nodes not in the boundary."""
+    ids = np.flatnonzero(~g.node_mask(boundary, allow_empty=True))
+    ids.flags.writeable = False
+    return ids
 
 
-def resolve_boundary(
-    g: Graph,
-    policy: str,
-    *,
-    parent: Graph | None = None,
-    parent_nodes: Iterable[int] | None = None,
-    explicit: Iterable[int] | None = None,
-) -> BoundarySpec:
-    """Resolve a boundary policy to a concrete node set.
+def resolve_boundary(g: Graph, policy: str) -> np.ndarray:
+    """Resolve a boundary policy to the ascending, read-only int64 ids it selects.
 
     Policies:
       degree-one      nodes of degree 1 (stubs that presumably continue outside)
       leaves          alias of degree-one, for trees
       grid-perimeter  nodes of degree < 4 in a 4-neighbor lattice
-      radius-cut      for ``induced_subgraph(parent, parent_nodes)``: nodes with
-                      a parent edge leaving the set, plus nodes of parent
-                      degree 1, found on parent ids
-      explicit-list   the given ids, validated
 
     A boundary covering every node is an error ("no interior"); an empty
     boundary is permitted with a warning since the Dirichlet operator then
@@ -399,28 +396,10 @@ def resolve_boundary(
     """
     if policy not in BOUNDARY_POLICIES:
         raise DataError(f"unknown boundary policy: {policy!r}")
-
     if policy in ("degree-one", "leaves"):
         nodes = np.flatnonzero(g.degree == 1)
-    elif policy == "grid-perimeter":
+    else:  # grid-perimeter
         nodes = np.flatnonzero(g.degree < 4)
-    elif policy == "radius-cut":
-        if parent is None or parent_nodes is None:
-            raise DataError("radius-cut boundary requires the parent graph and node set")
-        inset = parent.node_mask(parent_nodes)
-        parent_ids, _ = _first_seen(*_induced_edges(parent, inset))
-        if tuple(map(parent.labels.__getitem__, parent_ids.tolist())) != g.labels:
-            raise DataError("radius-cut needs the subgraph of parent induced by parent_nodes")
-        eu, ev = parent.edge_arrays
-        cross = inset[eu] != inset[ev]
-        picked = parent.degree == 1
-        picked[eu[cross]] = True
-        picked[ev[cross]] = True
-        nodes = np.flatnonzero(picked[parent_ids])
-    else:  # explicit-list
-        if explicit is None:
-            raise DataError("explicit-list boundary requires the node ids")
-        nodes = np.flatnonzero(g.node_mask(explicit, allow_empty=True))
     nodes.flags.writeable = False
 
     if nodes.size == g.node_count:
@@ -430,4 +409,4 @@ def resolve_boundary(
             "empty boundary: Dirichlet operators will equal the full Laplacian",
             stacklevel=2,
         )
-    return BoundarySpec(policy, nodes)
+    return nodes

@@ -32,6 +32,7 @@ or above the computed eigenvalue minus the tolerance, the solve skipped none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 import scipy.linalg
@@ -39,7 +40,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, SuperLU, eigsh, splu
 
 from .errors import DataError, NumericalError
-from .graph import BoundarySpec, Graph
+from .graph import Graph, interior
 
 DENSE_LIMIT = 64  # below this, a dense decomposition beats factor-and-iterate
 SHIFT = -1e-4
@@ -89,18 +90,18 @@ def build_normalized_laplacian(g: Graph) -> SymmetricMatrix:
     return SymmetricMatrix(lap, np.arange(g.node_count, dtype=np.int64))
 
 
-def build_dirichlet_laplacian(g: Graph, b: BoundarySpec) -> SymmetricMatrix:
+def build_dirichlet_laplacian(g: Graph, boundary: Iterable[int]) -> SymmetricMatrix:
     """Restrict the normalized Laplacian to interior rows and columns.
 
     Degrees in the normalization stay the full-graph degrees: edges leading
     to the boundary still count, only the boundary rows/columns are removed.
     """
-    interior = b.interior(g)
-    if interior.size == 0:
+    inner = interior(g, boundary)
+    if inner.size == 0:
         raise DataError("empty interior: boundary covers every node")
     full = build_normalized_laplacian(g)
-    sub = full.matrix[interior][:, interior].tocsr()
-    return SymmetricMatrix(sub, interior)
+    sub = full.matrix[inner][:, inner].tocsr()
+    return SymmetricMatrix(sub, inner)
 
 
 def _ldl(a: sp.csr_matrix, shift: float, order: np.ndarray | None = None) -> SuperLU:
@@ -282,7 +283,7 @@ def spectral_gap(g: Graph, tol: float = 1e-8) -> float:
     return float(res.eigenvalues[1])
 
 
-def dirichlet_gap(g: Graph, b: BoundarySpec, tol: float = 1e-8) -> float:
+def dirichlet_gap(g: Graph, boundary: Iterable[int], tol: float = 1e-8) -> float:
     """Smallest eigenvalue of the boundary-restricted Laplacian."""
-    res = smallest_eigenpairs(build_dirichlet_laplacian(g, b), k=1, tol=tol)
+    res = smallest_eigenpairs(build_dirichlet_laplacian(g, boundary), k=1, tol=tol)
     return float(res.eigenvalues[0])

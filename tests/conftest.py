@@ -296,8 +296,7 @@ def slow_grow_rows(g: ds.Graph, tol: float = 1e-8) -> list[tuple]:
         nodes = slow_radius_cut(sub, g, members)
         if 0 < len(nodes) < sub.node_count:  # else no boundary or "no interior"
             try:
-                spec = ds.BoundarySpec("radius-cut", np.array(sorted(nodes), dtype=np.int64))
-                diri = ds.dirichlet_gap(sub, spec, tol=tol)
+                diri = ds.dirichlet_gap(sub, sorted(nodes), tol=tol)
             except DirspecError:
                 pass
         rows.append((radius, sub.node_count, trad, diri))

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -130,8 +129,7 @@ def test_brute_force_local_examples():
     assert rep.kind == "local-constant"
 
     p4 = path_graph(4)
-    b = ds.resolve_boundary(p4, "explicit-list", explicit=[0, 3])
-    rep = brute_force_local_cheeger_constant(p4, b)
+    rep = brute_force_local_cheeger_constant(p4, [0, 3])
     assert rep.value == 0.5  # min(2/2, 2/2, 2/4) over {1},{2},{1,2}
     assert id_set(rep.witness) == {1, 2}
 
@@ -145,14 +143,9 @@ def test_brute_force_local_matches_slow_enumeration():
     for g in random_graph_suite(8, (5, 9), seed_base=1200):
         rng = np.random.default_rng(g.node_count + 3)
         bsize = 1 + int(rng.integers(0, g.node_count - 2))
-        ids = [int(v) for v in rng.permutation(g.node_count)[:bsize]]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            b = ds.resolve_boundary(g, "explicit-list", explicit=ids)
-        if b.nodes.size == 0:
-            continue
+        b = [int(v) for v in rng.permutation(g.node_count)[:bsize]]
         rep = brute_force_local_cheeger_constant(g, b)
-        best, witness = slow_local_cheeger_constant(g, b.interior(g))
+        best, witness = slow_local_cheeger_constant(g, ds.interior(g, b))
         assert Fraction(rep.value).limit_denominator(10**9) == best
         assert tuple(sorted(rep.witness)) == witness
 
@@ -175,12 +168,7 @@ def test_local_cheeger_inequality_small_graphs():
         n = 5 + i % 9
         g = ds.gen_random_connected(n, 0.4, seed=3000 + i)
         bsize = 1 + int(rng.integers(0, n - 2))
-        ids = [int(v) for v in rng.permutation(n)[:bsize]]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            b = ds.resolve_boundary(g, "explicit-list", explicit=ids)
-        if b.nodes.size == 0:
-            continue
+        b = [int(v) for v in rng.permutation(n)[:bsize]]
         h_local = brute_force_local_cheeger_constant(g, b).value
         lam = ds.dirichlet_gap(g, b)
         # upper side allows one eigensolver tolerance of slack (equality cases)

@@ -85,8 +85,8 @@ def test_gap_command_factorization_count(tmp_path, monkeypatch):
     # enclosure and needs one factor only.  Every factor has diagonal pivots.
     g = isp_like_graph(400, seed=7)
     b = ds.resolve_boundary(g, "degree-one")
-    assert ds.is_connected(g) and 0 < len(b.nodes)
-    assert b.interior(g).size > spectral.DENSE_LIMIT
+    assert ds.is_connected(g) and 0 < len(b)
+    assert ds.interior(g, b).size > spectral.DENSE_LIMIT
     ds.write_graph(g, tmp_path / "isp.edges")
     factored = []
     real_splu = spectral.splu
@@ -122,6 +122,8 @@ def test_empty_boundary_leaves_dirichlet_cell_empty(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a grid has no stub
         assert main(["gap", "--gen", "grid:10x10", "--out", str(tmp_path)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # grow's empty cell says it; no warning
         assert main(["grow", "--gen", "grid:20x20", "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "gap.csv")
     assert rows == [["100", "180", "0", rows[0][3], ""]] and float(rows[0][3]) > 0
@@ -209,6 +211,25 @@ def test_numerical_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "numerical error:" in err and "exceeds tolerance 1.000e-30" in err
     assert not (tmp_path / "gap.csv").exists()
+
+
+def test_grow_numerical_error_exit_code(tmp_path, capsys):
+    # a failed solve on any ball stops the run: no row is left empty in its place
+    for spec in ("grid:5x5", "grid:30x17"):
+        rc = main(["grow", "--gen", spec, "--tol", "1e-30", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical error:" in err and "exceeds tolerance 1.000e-30" in err
+    assert not (tmp_path / "grow.csv").exists()
+
+
+def test_grow_ball_without_interior_leaves_dirichlet_cell_empty(tmp_path):
+    # the one ball of K2 is all boundary: no Dirichlet operator is left
+    assert main(["grow", "--gen", "grid:1x2", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "grow.csv").read_text().splitlines() == [
+        "r,n_sub,traditional_gap,dirichlet_gap",
+        "1,2,2,",
+    ]
 
 
 def test_tree_converge_command(tmp_path):
@@ -300,11 +321,8 @@ def test_grow_rows_match_slow_composition(tmp_path, monkeypatch, spec, seed):
     written = []
     monkeypatch.setattr(cli, "write_csv", lambda path, header, rows: written.append(rows))
     argv = ["grow", "--gen", spec, "--seed", str(seed), "--out", str(tmp_path)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # full balls of grids have no stub
-        assert main(argv) == 0
-        expected = slow_grow_rows(parse_generator_spec(spec, seed))
-    assert written == [expected]
+    assert main(argv) == 0
+    assert written == [slow_grow_rows(parse_generator_spec(spec, seed))]
 
 
 def test_grow_command_full_radius_matches_gap(tmp_path):

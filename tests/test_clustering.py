@@ -33,10 +33,10 @@ from conftest import (
 )
 
 
-def _quiet_boundary(g, policy, **kw):
+def _quiet_boundary(g, policy):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return ds.resolve_boundary(g, policy, **kw)
+        return ds.resolve_boundary(g, policy)
 
 
 def test_embed_p3_structure():
@@ -126,7 +126,7 @@ def test_rank_nodes_separated_clusters_ordering():
 def test_reattach_boundary_rules():
     w = ds.gen_whisker(4, 2, 2)  # tips are ids 5 and 7
     b = _quiet_boundary(w, "degree-one")
-    assert id_set(b.nodes) == {5, 7}
+    assert id_set(b) == {5, 7}
     assert id_set(reattach_boundary(w, b, {4})) == {4, 5}  # tip follows its path neighbor
     assert id_set(reattach_boundary(w, b, {0, 1})) == {0, 1}  # tip's neighbor outside: stays
     with pytest.raises(DataError):
@@ -134,9 +134,8 @@ def test_reattach_boundary_rules():
 
     # exact tie stays outside: boundary node with one interior neighbor in, one out
     g = ds.build_graph([("b", "u"), ("b", "v"), ("u", "v"), ("u", "w"), ("v", "w")])
-    bb = ds.resolve_boundary(g, "explicit-list", explicit=[0])
-    assert id_set(reattach_boundary(g, bb, {1})) == {1}
-    assert id_set(reattach_boundary(g, bb, {1, 2})) == {0, 1, 2}
+    assert id_set(reattach_boundary(g, [0], {1})) == {1}
+    assert id_set(reattach_boundary(g, [0], {1, 2})) == {0, 1, 2}
 
 
 def test_sweep_identical_rankings_all_tied(two_triangle):
@@ -160,7 +159,7 @@ def test_sweep_rejects_disconnected_graph():
     edges += [("x", "y"), ("y", "z"), ("z", "x"), ("x", "q")]
     g = ds.build_graph(edges)
     b = ds.resolve_boundary(g, "degree-one")
-    assert b.interior(g).size == 6
+    assert ds.interior(g, b).size == 6
     with pytest.raises(DataError, match="sweep requires a connected graph"):
         sweep(g, b)
     half = ds.largest_component(g)
@@ -196,7 +195,7 @@ def test_sweep_rows_internally_consistent():
         # one row per interior prefix, sizes strictly growing inside [1, n-1]:
         # no size can repeat or cover none or all of the graph
         ks = [r.k for r in full.rows]
-        assert len(ks) == b.interior(g).size - 1
+        assert len(ks) == ds.interior(g, b).size - 1
         assert all(a < c for a, c in zip(ks, ks[1:]))
         assert 1 <= ks[0] and ks[-1] <= g.node_count - 1
         some = sweep(g, b, sizes=[r.k for r in full.rows[::2]])
@@ -242,49 +241,57 @@ def test_reattach_boundary_matches_slow_majority():
     ties = 0
     for g, policy in cases:
         b = _quiet_boundary(g, policy)
-        interior = b.interior(g)
+        interior = ds.interior(g, b)
         rng = np.random.default_rng(g.node_count)
         for order in (interior, rng.permutation(interior)):
             for j in range(interior.size + 1):
                 prefix = order[:j]
-                assert id_set(reattach_boundary(g, b, prefix)) == slow_reattach_boundary(
-                    g, b.nodes, prefix
-                )
+                expected = slow_reattach_boundary(g, b, prefix)
+                assert id_set(reattach_boundary(g, b, prefix)) == expected
                 inside = set(int(v) for v in prefix)
-                for v in b.nodes:
-                    nbrs = [int(u) for u in g.neighbors(v) if int(u) not in b.nodes]
+                for v in b:
+                    nbrs = [int(u) for u in g.neighbors(v) if int(u) not in b]
                     if nbrs and 2 * sum(u in inside for u in nbrs) == len(nbrs):
                         ties += 1
     assert ties > 0  # the tie rule was exercised, not only clear majorities
 
 
 def test_reattach_boundary_one_spec_on_two_graphs():
-    # a spec used on another graph with the same boundary ids must select
+    # a boundary used on another graph with the same ids must select
     # that graph's boundary-interior edges, not the first graph's
     g1, g2 = path_graph(6), ds.gen_grid(2, 3)
-    b = ds.resolve_boundary(g1, "explicit-list", explicit=[0, 5])
+    b = [0, 5]
     for prefix in ([1], [2, 3], [1, 2, 3, 4], [4], [1], [3, 4]):
         for g in (g1, g2, g1):
-            expected = slow_reattach_boundary(g, b.nodes, prefix)
+            expected = slow_reattach_boundary(g, b, prefix)
             assert id_set(reattach_boundary(g, b, prefix)) == expected
 
 
 def test_sweep_and_reattach_leave_the_boundary_spec_unchanged():
-    # the frozen spec holds its policy and nodes only: no cache is written into it
+    # the boundary is the caller's read-only id array: neither call writes into it
     g = ds.gen_whisker(12, 5, 3)
     b = _quiet_boundary(g, "degree-one")
-    assert set(vars(b)) == {"policy", "nodes"}
-    reattach_boundary(g, b, b.interior(g)[:4])
-    assert set(vars(b)) == {"policy", "nodes"}
+    before = b.copy()
+    reattach_boundary(g, b, ds.interior(g, b)[:4])
+    assert np.array_equal(b, before) and not b.flags.writeable
     sweep(g, b)
-    assert set(vars(b)) == {"policy", "nodes"}
+    assert np.array_equal(b, before) and not b.flags.writeable
+
+
+def test_sweep_reads_its_boundary_once():
+    # an iterator is read once; a later read would see no boundary at all
+    g = ds.gen_whisker(12, 5, 3)
+    b = _quiet_boundary(g, "degree-one")
+    given, expected = sweep(g, iter(b.tolist())), sweep(g, b)
+    assert given.rows == expected.rows
+    assert all(map(np.array_equal, given.dirichlet_cuts, expected.dirichlet_cuts))
 
 
 def test_reattached_and_reported_cuts_are_read_only():
     # the report's cuts share one array: writing to one would change the others
     g = ds.gen_whisker(12, 5, 3)
     b = _quiet_boundary(g, "degree-one")
-    for cut in (reattach_boundary(g, b, b.interior(g)[:4]), *sweep(g, b).dirichlet_cuts):
+    for cut in (reattach_boundary(g, b, ds.interior(g, b)[:4]), *sweep(g, b).dirichlet_cuts):
         assert cut.dtype == np.int64
         with pytest.raises(ValueError, match="read-only"):
             cut[0] = 0
@@ -338,7 +345,7 @@ def test_boolean_mask_as_node_set_raises(call):
     g = ds.gen_grid(4, 4)
     b = _quiet_boundary(g, "grid-perimeter")
     inner = np.array([5, 6, 9, 10])
-    assert set(b.interior(g).tolist()) == set(inner.tolist())
+    assert set(ds.interior(g, b).tolist()) == set(inner.tolist())
     call(g, b, inner)  # the same set as ids is accepted
     mask = np.zeros(g.node_count, dtype=bool)
     mask[inner] = True
@@ -470,9 +477,8 @@ def test_aggregate_row_matches_size_rows(two_triangle):
 
 def test_sweep_requires_interior():
     p3 = path_graph(3)
-    b = ds.resolve_boundary(p3, "explicit-list", explicit=[0, 2])
     with pytest.raises(DataError, match="two interior"):
-        sweep(p3, b)
+        sweep(p3, [0, 2])
 
 
 def test_evaluate_cut_record(two_triangle):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -228,21 +226,21 @@ def test_resolve_boundary_degree_one_and_leaves():
     tree = ds.gen_tree(3, 3)
     b = ds.resolve_boundary(tree, "leaves")
     expected = frozenset(int(v) for v in np.flatnonzero(tree.degree == 1))
-    assert id_set(b.nodes) == expected
-    assert id_set(ds.resolve_boundary(tree, "degree-one").nodes) == expected
+    assert id_set(b) == expected
+    assert id_set(ds.resolve_boundary(tree, "degree-one")) == expected
     for g in random_graph_suite(6, (4, 9), seed_base=600):
         try:
             b = ds.resolve_boundary(g, "degree-one")
         except DataError:
             continue
-        assert id_set(b.nodes) == frozenset(int(v) for v in np.flatnonzero(g.degree == 1))
+        assert id_set(b) == frozenset(int(v) for v in np.flatnonzero(g.degree == 1))
 
 
 def test_resolve_boundary_grid_perimeter():
     grid = ds.gen_grid(100, 100)
     b = ds.resolve_boundary(grid, "grid-perimeter")
-    assert len(b.nodes) == 4 * 100 - 4 == 396
-    assert b.interior(grid).size == 98 * 98
+    assert len(b) == 4 * 100 - 4 == 396
+    assert ds.interior(grid, b).size == 98 * 98
 
 
 def test_resolve_boundary_no_interior():
@@ -256,37 +254,40 @@ def test_resolve_boundary_no_interior():
 def test_resolve_boundary_empty_warns(two_triangle):
     with pytest.warns(UserWarning, match="empty boundary"):
         b = ds.resolve_boundary(two_triangle, "degree-one")
-    assert id_set(b.nodes) == frozenset()
+    assert id_set(b) == frozenset()
 
 
 def test_resolve_boundary_explicit():
     p5 = path_graph(5)
-    b = ds.resolve_boundary(p5, "explicit-list", explicit=[0, 4])
-    assert id_set(b.nodes) == {0, 4}
-    assert list(b.interior(p5)) == [1, 2, 3]
+    boundary = [4, 0]  # a boundary given by its ids
+    assert list(ds.interior(p5, boundary)) == [1, 2, 3]
+    assert ds.build_dirichlet_laplacian(p5, boundary).index_map.tolist() == [1, 2, 3]
     with pytest.raises(DataError, match="out of range"):
-        ds.resolve_boundary(p5, "explicit-list", explicit=[9])
+        ds.dirichlet_gap(p5, [9])
     with pytest.raises(DataError, match="unknown boundary policy"):
         ds.resolve_boundary(p5, "perimeter")
+    for gone in ("radius-cut", "explicit-list"):
+        with pytest.raises(DataError, match="unknown boundary policy"):
+            ds.resolve_boundary(p5, gone)
 
 
 def test_boundary_nodes_are_ascending_read_only_int64_ids():
     w = ds.gen_whisker(6, 2, 3)
     members = np.flatnonzero(distances_from(w, ds.one_median(w)) <= 2)
-    sub = ds.induced_subgraph(w, members)
-    specs = [
-        ds.resolve_boundary(w, "degree-one"),
-        ds.resolve_boundary(ds.gen_tree(3, 3), "leaves"),
-        ds.resolve_boundary(ds.gen_grid(5, 6), "grid-perimeter"),
-        ds.resolve_boundary(sub, "radius-cut", parent=w, parent_nodes=members[::-1]),
-        ds.resolve_boundary(path_graph(9), "explicit-list", explicit=[7, 2, 7, 0, 2]),
-    ]
-    assert tuple(b.policy for b in specs) == BOUNDARY_POLICIES
-    for b in specs:
-        assert b.nodes.size > 0 and id_set(b.nodes)  # id_set: int64, strictly ascending
+    graphs = (w, ds.gen_tree(3, 3), ds.gen_grid(5, 6))
+    boundaries = [ds.resolve_boundary(g, policy) for g, policy in zip(graphs, BOUNDARY_POLICIES)]
+    assert BOUNDARY_POLICIES == ("degree-one", "leaves", "grid-perimeter")
+    boundaries.append(ds.radius_cut(w, members[::-1])[1])
+    for boundary in boundaries:
+        assert boundary.size > 0 and id_set(boundary)  # id_set: int64, strictly ascending
         with pytest.raises(ValueError, match="read-only"):
-            b.nodes[0] = b.nodes[-1]
-    assert specs[-1].nodes.tolist() == [0, 2, 7]
+            boundary[0] = boundary[-1]
+    # a caller's id list may repeat and be unordered: the operator is the same
+    p9 = path_graph(9)
+    given = ds.build_dirichlet_laplacian(p9, [7, 2, 7, 0, 2])
+    clean = ds.build_dirichlet_laplacian(p9, np.array([0, 2, 7]))
+    assert given.index_map.tolist() == clean.index_map.tolist() == [1, 3, 4, 5, 6, 8]
+    assert (given.matrix != clean.matrix).nnz == 0
 
 
 @pytest.mark.parametrize(
@@ -300,6 +301,7 @@ def test_boundary_nodes_are_ascending_read_only_int64_ids():
         ([0.5, 8.2], "integers"),
         ([2**70], "integers"),
         (np.array([], dtype=float), "integers"),
+        ([9], "out of range"),
     ],
     ids=repr,
 )
@@ -307,8 +309,16 @@ def test_non_integer_node_ids_raise(ids, match):
     g = ds.gen_grid(3, 3)
     with pytest.raises(DataError, match=match):
         ds.volume(g, ids)
-    with pytest.raises(DataError, match=match):
-        ds.resolve_boundary(g, "explicit-list", explicit=ids)
+    # every function that takes a boundary checks its ids where it uses them
+    for takes_boundary in (
+        lambda b: ds.dirichlet_gap(g, b),
+        lambda b: ds.reattach_boundary(g, b, []),
+        lambda b: ds.local_cheeger_ratio(g, b, [4]),
+        lambda b: ds.brute_force_local_cheeger_constant(g, b),
+        lambda b: ds.sweep(g, b),
+    ):
+        with pytest.raises(DataError, match=match):
+            takes_boundary(ids)
     # integer ids of any width, in any container, are accepted
     for ok in ([0, 8], (0, 8), {0, 8}, np.array([0, 8], dtype=np.uint8), [np.int32(0), 8]):
         assert ds.volume(g, ok) == 4
@@ -318,18 +328,39 @@ def test_resolve_boundary_radius_cut():
     w = ds.gen_whisker(6, 2, 3)
     center = ds.one_median(w)
     members = slow_ball(w, center, 2)
-    sub = ds.induced_subgraph(w, members)
-    b = ds.resolve_boundary(sub, "radius-cut", parent=w, parent_nodes=members)
-    assert id_set(b.nodes) == slow_radius_cut(sub, w, members)
+    sub, boundary = ds.radius_cut(w, members)
+    assert sub == ds.induced_subgraph(w, members)
+    assert id_set(boundary) == slow_radius_cut(sub, w, members)
     # at full radius the rule degenerates to the degree-one policy
     full = slow_ball(w, center, slow_eccentricity(w, center))
-    sub_full = ds.induced_subgraph(w, full)
-    b_full = ds.resolve_boundary(sub_full, "radius-cut", parent=w, parent_nodes=full)
+    sub_full, b_full = ds.radius_cut(w, full)
     deg1 = frozenset(int(v) for v in np.flatnonzero(sub_full.degree == 1))
-    assert id_set(b_full.nodes) == deg1
-    # the subgraph must be the one parent_nodes induces
-    with pytest.raises(DataError, match="induced by parent_nodes"):
-        ds.resolve_boundary(sub, "radius-cut", parent=w, parent_nodes=full)
+    assert id_set(b_full) == deg1
+
+
+def test_radius_cut_on_sets_that_are_not_balls():
+    grid = ds.gen_grid(4, 5)
+    cases = [
+        (grid, [0, 1, 2, 6, 18]),  # 18 has no neighbor inside and is dropped
+        (grid, [13, 12, 8, 7, 3, 2]),  # descending
+        (grid, [5, 5, 10, 6, 10, 11]),  # duplicated
+        (path_graph(6), [0, 1, 3, 4]),  # two components
+    ]
+    for g in random_graph_suite(6, (6, 12), seed_base=1700):
+        rng = np.random.default_rng(g.node_count)
+        cases.append((g, rng.permutation(g.node_count)[: g.node_count // 2 + 1]))
+    for g, members in cases:
+        try:
+            expected = ds.induced_subgraph(g, members)
+        except DataError:
+            with pytest.raises(DataError, match="no edges"):
+                ds.radius_cut(g, members)
+            continue
+        sub, boundary = ds.radius_cut(g, members)
+        assert sub == expected == slow_induced_subgraph(g, members)
+        assert id_set(boundary) == slow_radius_cut(sub, g, members)
+    sub, _ = ds.radius_cut(grid, [0, 1, 2, 6, 18])
+    assert "18" not in sub.labels and sub.node_count == 4
 
 
 @pytest.mark.parametrize(
@@ -347,15 +378,12 @@ def test_balls_subgraphs_and_radius_cut_match_slow_references(g):
     center = ds.one_median(g)
     dist = distances_from(g, center)
     assert int(dist.max()) == slow_eccentricity(g, center)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the full ball of a grid has no stub
-        for r in range(1, int(dist.max()) + 1):
-            members = np.flatnonzero(dist <= r)
-            assert frozenset(members.tolist()) == slow_ball(g, center, r)
-            sub = ds.induced_subgraph(g, members)
-            assert sub == slow_induced_subgraph(g, members)
-            b = ds.resolve_boundary(sub, "radius-cut", parent=g, parent_nodes=members)
-            assert id_set(b.nodes) == slow_radius_cut(sub, g, members)
+    for r in range(1, int(dist.max()) + 1):
+        members = np.flatnonzero(dist <= r)
+        assert frozenset(members.tolist()) == slow_ball(g, center, r)
+        sub, boundary = ds.radius_cut(g, members)
+        assert sub == ds.induced_subgraph(g, members) == slow_induced_subgraph(g, members)
+        assert id_set(boundary) == slow_radius_cut(sub, g, members)
 
 
 def test_is_connected_matches_bfs():

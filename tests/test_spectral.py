@@ -68,8 +68,7 @@ def test_dirichlet_star_and_path_scalar():
     assert list(m.index_map) == [0]
 
     p3 = path_graph(3)
-    b = ds.resolve_boundary(p3, "explicit-list", explicit=[0, 2])
-    m = build_dirichlet_laplacian(p3, b)
+    m = build_dirichlet_laplacian(p3, [0, 2])
     assert m.matrix.toarray().tolist() == [[1.0]]
 
 
@@ -87,9 +86,7 @@ def test_dirichlet_tree_uses_full_graph_degrees():
 def test_dirichlet_empty_interior():
     p3 = path_graph(3)
     with pytest.raises(DataError, match="empty interior"):
-        build_dirichlet_laplacian(
-            p3, ds.BoundarySpec("explicit-list", np.array([0, 1, 2]))
-        )
+        build_dirichlet_laplacian(p3, np.array([0, 1, 2]))
 
 
 def test_smallest_eigenpairs_exact_spectra():
@@ -282,7 +279,7 @@ def test_one_pair_certificate_encloses_dirichlet_gap(monkeypatch):
 def test_collatz_wielandt_oracle_brackets_dirichlet_gap(monkeypatch, spec, boundary):
     g = parse_generator_spec(spec, seed=3)
     b = ds.resolve_boundary(g, boundary)
-    interior = b.interior(g)
+    interior = ds.interior(g, b)
     assert 0 < interior.size < g.node_count
     a = slow_dirichlet_laplacian(g, interior)
     if spec.startswith("grid"):
@@ -309,8 +306,7 @@ def test_disconnected_interior_falls_back_to_inertia_count(monkeypatch):
     # a boundary node at 200 splits the interior of a path in two; the ground
     # state lives on the longer piece and is rounding noise on the other
     g = path_graph(500)
-    b = ds.resolve_boundary(g, "explicit-list", explicit=[0, 200, 499])
-    m = build_dirichlet_laplacian(g, b)
+    m = build_dirichlet_laplacian(g, [0, 200, 499])
     calls = _count_inertia_calls(monkeypatch)
     res = smallest_eigenpairs(m, 1)
     assert res.route == "shift-invert"
@@ -326,8 +322,7 @@ def test_positive_vector_of_wrong_component_raises(monkeypatch):
     # positive and meets its residual, but its enclosure's lower end is the
     # longer piece's smaller eigenvalue, so the inertia count must run
     g = path_graph(500)
-    b = ds.resolve_boundary(g, "explicit-list", explicit=[0, 200, 499])
-    m = build_dirichlet_laplacian(g, b)
+    m = build_dirichlet_laplacian(g, [0, 200, 499])
     dense = m.matrix.toarray()
     short, long = np.arange(199), np.arange(199, m.n)
     short_val, short_vecs = np.linalg.eigh(dense[np.ix_(short, short)])

@@ -14,7 +14,10 @@ each sweep-isp map and ``tree-converge --degree 3 --max-levels 200``, plus
 ``gap`` on three more, one per boundary path the other calls miss: a grid
 with the default ``degree-one`` policy, whose empty boundary leaves the
 Dirichlet cell empty, a tree with ``--boundary leaves``, and a grid with
-``--boundary grid-perimeter``.
+``--boundary grid-perimeter``, and ``grow`` on three, one per ball path the
+seed-1 maps miss: ``grid:12x12``, whose full ball has no stub and so leaves
+the Dirichlet cell empty, ``grid:1x2``, a ball with no interior, and
+``tree:3x6``, whose leaves are parent stubs.
 
 Each call writes into its own directory, with its exit code in the file
 ``rc``.  Every file is compared byte for byte; the script prints each file
@@ -43,6 +46,9 @@ GENERATED = [
     ("gap-empty-boundary", ["gap", "--gen", "grid:10x10"]),
     ("gap-leaves", ["gap", "--gen", "tree:3x6", "--boundary", "leaves"]),
     ("gap-perimeter", ["gap", "--gen", "grid:30x30", "--boundary", "grid-perimeter"]),
+    ("grow-full-ball", ["grow", "--gen", "grid:12x12"]),
+    ("grow-no-interior", ["grow", "--gen", "grid:1x2"]),
+    ("grow-leaves", ["grow", "--gen", "tree:3x6"]),
 ]
 
 # Runs in a fresh interpreter per tree: argv[1] is the tree's src directory,
