@@ -69,13 +69,13 @@ def parse_generator_spec(spec: str, seed: int = 0) -> Graph:
     raise UsageError(f"bad generator spec {spec!r}: unknown kind")
 
 
-def _load_graph(args, path: str | None = None) -> Graph:
+def _load_graph(args, path: str | None) -> Graph:
+    """The graph of the edge-list file ``path``, or of ``--gen`` when it is None,
+    reduced to its largest component."""
     if path is not None:
         g = ingest.parse_edge_list(path)
-    elif getattr(args, "gen", None):
-        g = parse_generator_spec(args.gen, args.seed)
     else:
-        raise UsageError("provide --input or --gen")
+        g = parse_generator_spec(args.gen, args.seed)
     largest = largest_component(g)
     if largest is not g:
         print("note: input disconnected; using largest component", file=sys.stderr)
@@ -106,9 +106,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    sources: list[str | None] = list(args.input) if args.input else [None]
     rows = []
-    for src in sources:
+    for src in args.input or [None]:
         g = _load_graph(args, src)
         boundary = resolve_boundary(g, args.boundary)
         rows.append(
@@ -148,8 +147,7 @@ def cmd_tree_converge(args) -> int:
 
 def cmd_grow(args) -> int:
     check_tolerance(args.tol)
-    src = args.input[0] if args.input else None
-    g = _load_graph(args, src)
+    g = _load_graph(args, args.input)
     dist = distances_from(g, one_median(g))
     rows = []
     for radius in range(1, int(dist.max()) + 1):
@@ -164,9 +162,10 @@ def cmd_grow(args) -> int:
 
 
 def cmd_cluster_sweep(args) -> int:
-    src = args.input[0] if args.input else None
-    g = _load_graph(args, src)
+    g = _load_graph(args, args.input)
     boundary = resolve_boundary(g, args.boundary)
+    if boundary.size == 0:  # no CSV cell would say it
+        print("note: empty boundary; Dirichlet operator is the traditional one", file=sys.stderr)
     sizes = None
     if args.sizes:
         try:
@@ -200,14 +199,14 @@ def _add_common(p: argparse.ArgumentParser, with_boundary: bool = True) -> None:
 
 
 def _add_source(p: argparse.ArgumentParser, multiple: bool = False) -> None:
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument(
         "--input",
-        nargs="+" if multiple else 1,
-        default=None,
+        nargs="+" if multiple else None,
         metavar="EDGELIST",
-        help="edge-list file(s)",
+        help="edge-list file(s)" if multiple else "edge-list file",
     )
-    p.add_argument("--gen", default=None, metavar="SPEC", help="generator spec, e.g. grid:100x100")
+    source.add_argument("--gen", metavar="SPEC", help="generator spec, e.g. grid:100x100")
     p.add_argument("--seed", type=int, default=0, help="seed for random generators")
 
 

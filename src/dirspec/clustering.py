@@ -78,11 +78,14 @@ class SweepReport:
 
     ``dirichlet_cuts[i]`` is the Dirichlet cut of ``rows[i]``: a view of the
     first ``rows[i].k`` ids of one read-only int64 insertion order, so the
-    cuts share one array and no row copies its members.
+    cuts share one array and no row copies its members.  ``traditional_order``
+    is the traditional ranking, a read-only int64 array of every node id;
+    the traditional cut of ``rows[i]`` is its first ``rows[i].k`` ids.
     """
 
     rows: tuple[SweepRow, ...]
     dirichlet_cuts: tuple[np.ndarray, ...]  # prefix views of one order, aligned with rows
+    traditional_order: np.ndarray
     cat_le_le: int
     cat_le_gt: int
     cat_gt_le: int
@@ -217,6 +220,7 @@ def sweep(
 
     order_d = _ranking(g, build_dirichlet_laplacian(g, boundary), tol)
     order_t = _ranking(g, build_normalized_laplacian(g), tol)
+    order_t.flags.writeable = False  # the report's traditional_order
 
     wanted = set(int(s) for s in sizes) if sizes is not None else None
     rows: list[SweepRow] = []
@@ -253,6 +257,7 @@ def sweep(
     return SweepReport(
         rows=tuple(rows),
         dirichlet_cuts=tuple(order[: r.k] for r in rows),
+        traditional_order=order_t,
         cat_le_le=le_le,
         cat_le_gt=le_gt,
         cat_gt_le=gt_le,

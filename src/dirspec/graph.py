@@ -8,7 +8,6 @@ identical graphs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -390,9 +389,8 @@ def resolve_boundary(g: Graph, policy: str) -> np.ndarray:
       leaves          alias of degree-one, for trees
       grid-perimeter  nodes of degree < 4 in a 4-neighbor lattice
 
-    A boundary covering every node is an error ("no interior"); an empty
-    boundary is permitted with a warning since the Dirichlet operator then
-    degenerates to the full Laplacian.
+    The boundary may be empty or cover every node; neither warns nor raises
+    here.  Each consumer checks the interior it needs.
     """
     if policy not in BOUNDARY_POLICIES:
         raise DataError(f"unknown boundary policy: {policy!r}")
@@ -401,12 +399,4 @@ def resolve_boundary(g: Graph, policy: str) -> np.ndarray:
     else:  # grid-perimeter
         nodes = np.flatnonzero(g.degree < 4)
     nodes.flags.writeable = False
-
-    if nodes.size == g.node_count:
-        raise DataError(f"no interior: boundary policy {policy!r} selected every node")
-    if nodes.size == 0:
-        warnings.warn(
-            "empty boundary: Dirichlet operators will equal the full Laplacian",
-            stacklevel=2,
-        )
     return nodes

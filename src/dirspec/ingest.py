@@ -1,9 +1,9 @@
 """Edge-list parsing, synthetic graph generators, and deterministic file writers.
 
 Edge-list format: UTF-8 text, one edge per line as two whitespace-separated
-labels; blank lines and lines starting with '#' are ignored.  CSV output uses
-',' separators, '.' decimal points, LF line endings, and floats printed with
-6 significant digits.
+labels; blank lines, lines starting with '#' and a leading byte-order mark
+are ignored.  CSV output uses ',' separators, '.' decimal points, LF line
+endings, and floats printed with 6 significant digits.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ SIZE_GUARD = 10_000_000
 def parse_edge_list(path: str | os.PathLike) -> Graph:
     """Parse a plain edge-list file into a canonical Graph."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:  # drops a leading BOM
             lines = f.readlines()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -55,9 +54,7 @@ def read_csv(path):
 
 
 def quiet_boundary(g, policy):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ds.resolve_boundary(g, policy)
+    return ds.resolve_boundary(g, policy)
 
 
 def test_criterion_1_grid_table_row(tmp_path):

@@ -120,10 +120,8 @@ def test_gap_command_finds_components_once_per_map(tmp_path, monkeypatch):
 
 def test_empty_boundary_leaves_dirichlet_cell_empty(tmp_path):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a grid has no stub
+        warnings.simplefilter("error")  # a grid has no stub; the empty cell says it
         assert main(["gap", "--gen", "grid:10x10", "--out", str(tmp_path)]) == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # grow's empty cell says it; no warning
         assert main(["grow", "--gen", "grid:20x20", "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "gap.csv")
     assert rows == [["100", "180", "0", rows[0][3], ""]] and float(rows[0][3]) > 0
@@ -160,6 +158,7 @@ def test_gen_deep_tree_is_too_large(tmp_path, capsys, spec):
 
 
 def test_gap_command_no_interior_exit_code(tmp_path):
+    # a map its policy covers has no Dirichlet operator: the cell stays empty
     (tmp_path / "k2.edges").write_text("a b\n")
     rc = main(
         [
@@ -172,13 +171,38 @@ def test_gap_command_no_interior_exit_code(tmp_path):
             str(tmp_path),
         ]
     )
-    assert rc == 2
+    assert rc == 0
+    assert (tmp_path / "gap.csv").read_text().splitlines()[1] == "2,1,2,2,"
+
+
+def test_empty_boundary_note_only_from_cluster_sweep(tmp_path, capsys):
+    # grid:10x10 has no stub: gap and grow leave the cell empty, tree-converge
+    # never sees it, and cluster-sweep, with no cell to say it, notes it
+    commands = [
+        ["gap", "--gen", "grid:10x10"],
+        ["grow", "--gen", "grid:10x10"],
+        ["tree-converge", "--degree", "3", "--max-levels", "2"],
+        ["cluster-sweep", "--gen", "grid:10x10"],
+    ]
+    notes = []
+    for argv in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        notes.append([line for line in err.splitlines() if line.startswith("note:")])
+    assert notes[:3] == [[], [], []]
+    assert notes[3] == ["note: empty boundary; Dirichlet operator is the traditional one"]
 
 
 def test_usage_errors_exit_code(tmp_path):
     assert main(["gap", "--gen", "bogus:1x2", "--out", str(tmp_path)]) == 1
     assert main(["gap", "--gen", "grid:axb", "--out", str(tmp_path)]) == 1
     assert main(["gap", "--out", str(tmp_path)]) == 1  # no source
+    (tmp_path / "k3.edges").write_text("a b\nb c\nc a\n")
+    for command in ("gap", "grow", "cluster-sweep"):  # two sources
+        argv = [command, "--input", str(tmp_path / "k3.edges"), "--gen", "grid:4x4"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
     assert main(["nonsense"]) == 1
 
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import importlib
-import warnings
 
 import numpy as np
 import pytest
@@ -33,12 +32,6 @@ from conftest import (
 )
 
 
-def _quiet_boundary(g, policy):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ds.resolve_boundary(g, policy)
-
-
 def test_embed_p3_structure():
     g = path_graph(3)
     e = embed(build_normalized_laplacian(g))
@@ -61,14 +54,13 @@ def test_embed_columns_orthonormal():
 
 def test_embed_dimension_guard():
     star = ds.build_graph([("h", "a"), ("h", "b"), ("h", "c")])
-    b = _quiet_boundary(star, "leaves")
+    b = ds.resolve_boundary(star, "leaves")
     with pytest.raises(DataError, match="dimension"):
         embed(build_dirichlet_laplacian(star, b))
 
 
 def test_embed_empty_boundary_covers_all_nodes(two_triangle):
-    with pytest.warns(UserWarning, match="empty boundary"):
-        b = ds.resolve_boundary(two_triangle, "degree-one")
+    b = ds.resolve_boundary(two_triangle, "degree-one")
     e = embed(build_dirichlet_laplacian(two_triangle, b))
     assert list(e.node_ids) == list(range(6))
 
@@ -95,7 +87,6 @@ def test_two_means_degenerate():
 
 
 def test_two_means_two_triangles(two_triangle):
-    b = _quiet_boundary(two_triangle, "degree-one")
     e = embed(build_normalized_laplacian(two_triangle))
     _, assign = two_means(e)
     assert list(assign[:3]) == [assign[0]] * 3
@@ -125,7 +116,7 @@ def test_rank_nodes_separated_clusters_ordering():
 
 def test_reattach_boundary_rules():
     w = ds.gen_whisker(4, 2, 2)  # tips are ids 5 and 7
-    b = _quiet_boundary(w, "degree-one")
+    b = ds.resolve_boundary(w, "degree-one")
     assert id_set(b) == {5, 7}
     assert id_set(reattach_boundary(w, b, {4})) == {4, 5}  # tip follows its path neighbor
     assert id_set(reattach_boundary(w, b, {0, 1})) == {0, 1}  # tip's neighbor outside: stays
@@ -139,7 +130,7 @@ def test_reattach_boundary_rules():
 
 
 def test_sweep_identical_rankings_all_tied(two_triangle):
-    b = _quiet_boundary(two_triangle, "degree-one")  # empty boundary
+    b = ds.resolve_boundary(two_triangle, "degree-one")  # empty boundary
     report = sweep(two_triangle, b)
     assert report.cat_le_le == len(report.rows)
     assert report.cat_le_gt == report.cat_gt_le == report.cat_gt_gt == 0
@@ -190,7 +181,7 @@ def _sweep_cases():
 
 def test_sweep_rows_internally_consistent():
     for g, policy in _sweep_cases():
-        b = _quiet_boundary(g, policy)
+        b = ds.resolve_boundary(g, policy)
         full = sweep(g, b)
         # one row per interior prefix, sizes strictly growing inside [1, n-1]:
         # no size can repeat or cover none or all of the graph
@@ -205,6 +196,11 @@ def test_sweep_rows_internally_consistent():
             assert np.array_equal(a, c)
         order_t = _traditional_ranking(g)
         for report in (full, some):
+            # the traditional ranking of every node, read-only
+            assert np.array_equal(report.traditional_order, order_t)
+            assert report.traditional_order.dtype == np.int64
+            assert not report.traditional_order.flags.writeable
+            assert sorted(report.traditional_order.tolist()) == list(range(g.node_count))
             # category counts partition the rows, averages recompute exactly
             assert (
                 report.cat_le_le + report.cat_le_gt + report.cat_gt_le + report.cat_gt_gt
@@ -240,7 +236,7 @@ def test_reattach_boundary_matches_slow_majority():
     ]
     ties = 0
     for g, policy in cases:
-        b = _quiet_boundary(g, policy)
+        b = ds.resolve_boundary(g, policy)
         interior = ds.interior(g, b)
         rng = np.random.default_rng(g.node_count)
         for order in (interior, rng.permutation(interior)):
@@ -270,7 +266,7 @@ def test_reattach_boundary_one_spec_on_two_graphs():
 def test_sweep_and_reattach_leave_the_boundary_spec_unchanged():
     # the boundary is the caller's read-only id array: neither call writes into it
     g = ds.gen_whisker(12, 5, 3)
-    b = _quiet_boundary(g, "degree-one")
+    b = ds.resolve_boundary(g, "degree-one")
     before = b.copy()
     reattach_boundary(g, b, ds.interior(g, b)[:4])
     assert np.array_equal(b, before) and not b.flags.writeable
@@ -281,7 +277,7 @@ def test_sweep_and_reattach_leave_the_boundary_spec_unchanged():
 def test_sweep_reads_its_boundary_once():
     # an iterator is read once; a later read would see no boundary at all
     g = ds.gen_whisker(12, 5, 3)
-    b = _quiet_boundary(g, "degree-one")
+    b = ds.resolve_boundary(g, "degree-one")
     given, expected = sweep(g, iter(b.tolist())), sweep(g, b)
     assert given.rows == expected.rows
     assert all(map(np.array_equal, given.dirichlet_cuts, expected.dirichlet_cuts))
@@ -290,7 +286,7 @@ def test_sweep_reads_its_boundary_once():
 def test_reattached_and_reported_cuts_are_read_only():
     # the report's cuts share one array: writing to one would change the others
     g = ds.gen_whisker(12, 5, 3)
-    b = _quiet_boundary(g, "degree-one")
+    b = ds.resolve_boundary(g, "degree-one")
     for cut in (reattach_boundary(g, b, ds.interior(g, b)[:4]), *sweep(g, b).dirichlet_cuts):
         assert cut.dtype == np.int64
         with pytest.raises(ValueError, match="read-only"):
@@ -313,7 +309,7 @@ def test_reattached_and_reported_cuts_are_read_only():
 def test_out_of_range_ids_raise(call, bad):
     g = ds.gen_whisker(5, 4, 6)  # ids 0..28
     assert g.node_count == 29
-    b = _quiet_boundary(g, "degree-one")
+    b = ds.resolve_boundary(g, "degree-one")
     nodes = bad if isinstance(bad, np.ndarray) else [0, bad]
     # a mask indexed by -1 would silently mark the last node instead
     with pytest.raises(DataError, match="out of range"):
@@ -343,7 +339,7 @@ def test_out_of_range_ids_raise(call, bad):
 )
 def test_boolean_mask_as_node_set_raises(call):
     g = ds.gen_grid(4, 4)
-    b = _quiet_boundary(g, "grid-perimeter")
+    b = ds.resolve_boundary(g, "grid-perimeter")
     inner = np.array([5, 6, 9, 10])
     assert set(ds.interior(g, b).tolist()) == set(inner.tolist())
     call(g, b, inner)  # the same set as ids is accepted
@@ -361,7 +357,7 @@ def test_sweep_report_memory_is_linear():
     import tracemalloc
 
     g = ds.gen_random_connected(600, 0.012, 3)
-    b = _quiet_boundary(g, "degree-one")
+    b = ds.resolve_boundary(g, "degree-one")
     first = sweep(g, b)
     tracemalloc.start()
     try:
@@ -381,7 +377,7 @@ def test_sweep_evaluate_cut_calls_pin_capture_contract(monkeypatch):
     call it once per reported row and method, the traditional cut being a
     prefix view of one ranking (the capture keeps these without copying)."""
     g = ds.gen_whisker(12, 5, 3)
-    b = _quiet_boundary(g, "degree-one")
+    b = ds.resolve_boundary(g, "degree-one")
     for sizes in (None, [r.k for r in sweep(g, b).rows[1::3]]):
         calls = []
 
@@ -441,7 +437,7 @@ def test_evaluate_cut_scores_through_public_primitives(monkeypatch):
 
 def test_sweep_cut_sizes_nondecreasing_and_nested():
     g = ds.gen_whisker(10, 4, 3)
-    b = _quiet_boundary(g, "degree-one")
+    b = ds.resolve_boundary(g, "degree-one")
     m = build_dirichlet_laplacian(g, b)
     e = embed(m)
     centers, assign = two_means(e)
@@ -455,7 +451,7 @@ def test_sweep_cut_sizes_nondecreasing_and_nested():
 
 def test_sweep_size_filter():
     g = ds.gen_whisker(10, 3, 2)
-    b = _quiet_boundary(g, "degree-one")
+    b = ds.resolve_boundary(g, "degree-one")
     full = sweep(g, b)
     some = sweep(g, b, sizes=[r.k for r in full.rows[:2]])
     assert [r.k for r in some.rows] == [r.k for r in full.rows[:2]]
@@ -464,7 +460,7 @@ def test_sweep_size_filter():
 
 
 def test_aggregate_row_matches_size_rows(two_triangle):
-    b = _quiet_boundary(two_triangle, "degree-one")
+    b = ds.resolve_boundary(two_triangle, "degree-one")
     report = sweep(two_triangle, b)
     assert all(r.h_d == r.h_t and r.c_d == r.c_t for r in report.rows)
     agg = aggregate_row(report)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -229,10 +231,7 @@ def test_resolve_boundary_degree_one_and_leaves():
     assert id_set(b) == expected
     assert id_set(ds.resolve_boundary(tree, "degree-one")) == expected
     for g in random_graph_suite(6, (4, 9), seed_base=600):
-        try:
-            b = ds.resolve_boundary(g, "degree-one")
-        except DataError:
-            continue
+        b = ds.resolve_boundary(g, "degree-one")
         assert id_set(b) == frozenset(int(v) for v in np.flatnonzero(g.degree == 1))
 
 
@@ -244,17 +243,27 @@ def test_resolve_boundary_grid_perimeter():
 
 
 def test_resolve_boundary_no_interior():
+    # a policy may select every node; each consumer rejects the empty interior
     k2 = ds.build_graph([("a", "b")])
-    with pytest.raises(DataError, match="no interior"):
-        ds.resolve_boundary(k2, "degree-one")
-    with pytest.raises(DataError, match="no interior"):
-        ds.resolve_boundary(ds.gen_grid(2, 2), "grid-perimeter")
+    cases = [(k2, "degree-one"), (ds.gen_grid(2, 2), "grid-perimeter")]
+    for g, policy in cases:
+        b = ds.resolve_boundary(g, policy)
+        assert b.tolist() == list(range(g.node_count))
+        with pytest.raises(DataError, match="empty interior: boundary covers every node"):
+            ds.dirichlet_gap(g, b)
+        with pytest.raises(DataError, match="empty interior: boundary covers every node"):
+            ds.build_dirichlet_laplacian(g, b)
+        with pytest.raises(DataError, match="sweep requires at least two interior nodes"):
+            ds.sweep(g, b)
+        with pytest.raises(DataError, match="empty interior"):
+            ds.brute_force_local_cheeger_constant(g, b)
 
 
-def test_resolve_boundary_empty_warns(two_triangle):
-    with pytest.warns(UserWarning, match="empty boundary"):
+def test_resolve_boundary_empty_is_silent(two_triangle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         b = ds.resolve_boundary(two_triangle, "degree-one")
-    assert id_set(b) == frozenset()
+    assert b.dtype == np.int64 and b.size == 0 and not b.flags.writeable
 
 
 def test_resolve_boundary_explicit():

@@ -34,6 +34,23 @@ def test_parse_comments_and_duplicates(tmp_path):
     assert g.cleaning.duplicates == 1
 
 
+def test_parse_ignores_a_leading_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.edges", tmp_path / "marked.edges"
+    plain.write_text("a b\nb c\nc a\n", encoding="utf-8")
+    marked.write_text("\ufeffa b\nb c\nc a\n", encoding="utf-8")
+    g = ds.parse_edge_list(marked)
+    assert g == ds.parse_edge_list(plain)
+    assert g.labels == ("a", "b", "c")
+    assert g.labeled_edges() == ds.parse_edge_list(plain).labeled_edges()
+    # line numbers in parse errors still count the marked first line as 1
+    marked.write_text("\ufeffa b c\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 1"):
+        ds.parse_edge_list(marked)
+    marked.write_text("\ufeffa b\nb c d\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 2"):
+        ds.parse_edge_list(marked)
+
+
 def test_parse_malformed_line(tmp_path):
     f = tmp_path / "bad.edges"
     f.write_text("a b\na b c\n")

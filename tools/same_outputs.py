@@ -8,16 +8,20 @@ Exports REV with ``git archive`` into a temporary directory, writes the
 seed-1 inputs of the benchmark workloads once (perfbench/generate.py), and
 runs every workload's command on them in both trees: ``gap`` on the six
 gap-isp maps, ``grow`` on each grow-isp map, ``cluster-sweep --emit-cuts`` on
-each sweep-isp map and ``tree-converge --degree 3 --max-levels 200``, plus
-``cluster-sweep --emit-cuts`` on two generated graphs (a whisker graph with a
-7-fold degenerate eigenvalue, and a grid with a ``--sizes`` filter), and
-``gap`` on three more, one per boundary path the other calls miss: a grid
-with the default ``degree-one`` policy, whose empty boundary leaves the
-Dirichlet cell empty, a tree with ``--boundary leaves``, and a grid with
-``--boundary grid-perimeter``, and ``grow`` on three, one per ball path the
-seed-1 maps miss: ``grid:12x12``, whose full ball has no stub and so leaves
-the Dirichlet cell empty, ``grid:1x2``, a ball with no interior, and
-``tree:3x6``, whose leaves are parent stubs.
+each sweep-isp map and ``tree-converge --degree 3 --max-levels 200``.  It
+adds calls on generated graphs, one per path those calls miss:
+
+- ``cluster-sweep --emit-cuts`` on a whisker graph with a 7-fold degenerate
+  eigenvalue, and on a grid with a ``--sizes`` filter;
+- ``cluster-sweep`` on ``grid:10x10``, whose empty ``degree-one`` boundary
+  makes the Dirichlet operator the traditional one;
+- ``gap`` on ``grid:10x10``, whose empty boundary leaves the Dirichlet cell
+  empty, on ``grid:1x2``, whose boundary covers every node and also leaves
+  it empty, on a tree with ``--boundary leaves``, and on a grid with
+  ``--boundary grid-perimeter``;
+- ``grow`` on ``grid:12x12``, whose full ball has no stub and so leaves the
+  Dirichlet cell empty, on ``grid:1x2``, a ball with no interior, and on
+  ``tree:3x6``, whose leaves are parent stubs.
 
 Each call writes into its own directory, with its exit code in the file
 ``rc``.  Every file is compared byte for byte; the script prints each file
@@ -43,7 +47,9 @@ GENERATED = [
     ("whisker", ["cluster-sweep", "--gen", "whisker:20x8x4", "--emit-cuts"]),
     ("grid", ["cluster-sweep", "--gen", "grid:12x12", "--boundary", "grid-perimeter",
               "--sizes", "5,20,40", "--emit-cuts"]),
+    ("sweep-empty-boundary", ["cluster-sweep", "--gen", "grid:10x10"]),
     ("gap-empty-boundary", ["gap", "--gen", "grid:10x10"]),
+    ("gap-no-interior", ["gap", "--gen", "grid:1x2"]),
     ("gap-leaves", ["gap", "--gen", "tree:3x6", "--boundary", "leaves"]),
     ("gap-perimeter", ["gap", "--gen", "grid:30x30", "--boundary", "grid-perimeter"]),
     ("grow-full-ball", ["grow", "--gen", "grid:12x12"]),
