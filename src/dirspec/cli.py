@@ -31,7 +31,7 @@ from .graph import (
     radius_cut,
     resolve_boundary,
 )
-from .ingest import write_csv, write_graph
+from .ingest import write_csv, write_edges, write_graph
 from .spectral import check_tolerance, dirichlet_gap, spectral_gap
 from .tree_spectrum import dirichlet_gap_analytic
 
@@ -182,11 +182,7 @@ def cmd_cluster_sweep(args) -> int:
         for row, cut in zip(report.rows, report.dirichlet_cuts):
             inset = g.node_mask(cut, allow_empty=True)
             keep = inset[eu] & inset[ev]
-            text = "".join(
-                f"{g.labels[u]} {g.labels[v]}\n"
-                for u, v in zip(eu[keep].tolist(), ev[keep].tolist())
-            )
-            ingest._write_text(_outpath(args, f"cut_{row.k}.edges"), text)
+            write_edges(g, eu[keep], ev[keep], _outpath(args, f"cut_{row.k}.edges"))
     print(f"wrote {sizes_path} and {agg_path}")
     return 0
 

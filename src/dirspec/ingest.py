@@ -26,6 +26,8 @@ def parse_edge_list(path: str | os.PathLike) -> Graph:
             lines = f.readlines()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})") from e
 
     pairs: list[tuple[str, str]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -113,6 +115,8 @@ def gen_random_connected(n: int, p: float, seed: int = 0) -> Graph:
         raise DataError("gen_random_connected requires 2 <= n <= 10000")
     if not 0 < p <= 1:
         raise DataError("gen_random_connected requires 0 < p <= 1")
+    if seed < 0:
+        raise DataError(f"gen_random_connected requires seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         picks = [u + 1 + np.flatnonzero(rng.random(n - 1 - u) < p) for u in range(n - 1)]
@@ -128,33 +132,32 @@ def gen_random_connected(n: int, p: float, seed: int = 0) -> Graph:
 def write_graph(g: Graph, path: str | os.PathLike) -> None:
     """Write a canonical edge list; parse_edge_list(write_graph(g)) reproduces g exactly.
 
-    Edges are emitted in two blocks: first one introduction edge per node, ordered
-    so labels first appear in dense-id order, then all remaining edges sorted.
+    Edges are emitted in two blocks.  First comes one introduction edge per
+    node, in id order, so labels first appear in dense-id order: a node v whose
+    smallest neighbour is larger than v (node 0 always) was first seen beside
+    v+1, and the pair (v, v+1) introduces both; any other node is introduced
+    by its edge to its smallest neighbour.  Then all remaining edges follow
+    in ``edge_arrays`` order.
     """
-    introduced = np.zeros(g.node_count, dtype=bool)
-    emitted: set[tuple[int, int]] = set()
-    lines: list[str] = []
-    for v in range(1, g.node_count):
-        if introduced[v]:
-            continue
-        smaller = [int(u) for u in g.neighbors(v) if u < v]
-        if smaller:
-            u = min(smaller)
-            lines.append(f"{g.labels[u]} {g.labels[v]}")
-            emitted.add((u, v))
-            introduced[u] = introduced[v] = True
-        else:
-            # first-seen id assignment guarantees v was introduced alongside v+1
-            if v + 1 >= g.node_count or (v + 1) not in g.neighbors(v):
-                raise DataError("graph ids are not in canonical first-seen order")
-            lines.append(f"{g.labels[v]} {g.labels[v + 1]}")
-            emitted.add((v, v + 1))
-            introduced[v] = introduced[v + 1] = True
+    n = g.node_count
+    ids = np.arange(n)
+    least = np.minimum.reduceat(g.indices, g.indptr[:-1])
+    paired = least > ids
+    if np.any(least[paired] != ids[paired] + 1):
+        raise DataError("graph ids are not in canonical first-seen order")
+    own = ~np.concatenate(([False], paired[:-1]))  # v+1 of a pair has no edge of its own
+    u = np.where(paired, ids, least)[own]
+    v = np.where(paired, ids + 1, ids)[own]
     eu, ev = g.edge_arrays
-    for u, v in zip(eu, ev):
-        if (int(u), int(v)) not in emitted:
-            lines.append(f"{g.labels[u]} {g.labels[v]}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rest = np.ones(eu.size, dtype=bool)
+    rest[np.searchsorted(eu * n + ev, u * n + v)] = False  # the keys ascend
+    write_edges(g, np.concatenate((u, eu[rest])), np.concatenate((v, ev[rest])), path)
+
+
+def write_edges(g: Graph, u: np.ndarray, v: np.ndarray, path: str | os.PathLike) -> None:
+    """Write the edges (u[i], v[i]) of g by label, one 'u v' line each, LF, UTF-8."""
+    lab = g.labels
+    _write_text(path, "".join(f"{lab[a]} {lab[b]}\n" for a, b in zip(u.tolist(), v.tolist())))
 
 
 def _write_text(path: str | os.PathLike, text: str) -> None:

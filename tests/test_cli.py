@@ -157,6 +157,18 @@ def test_gen_deep_tree_is_too_large(tmp_path, capsys, spec):
     assert elapsed < 0.1
 
 
+def test_bad_edge_list_bytes_and_negative_seed_are_data_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"a b\n\xff c\n")
+    assert main(["gap", "--input", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {bad}: not UTF-8 text (invalid start byte)\n"
+    assert main(["gap", "--gen", "random:50x0.2", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: gen_random_connected requires seed >= 0, got -1\n"
+    assert not (tmp_path / "gap.csv").exists()
+
+
 def test_gap_command_no_interior_exit_code(tmp_path):
     # a map its policy covers has no Dirichlet operator: the cell stays empty
     (tmp_path / "k2.edges").write_text("a b\n")

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import dirspec as ds
 from dirspec.errors import DataError
+from dirspec.graph import Graph
 from dirspec.ingest import format_cell, tree_node_count
 
 from conftest import (
@@ -55,6 +58,13 @@ def test_parse_malformed_line(tmp_path):
     f = tmp_path / "bad.edges"
     f.write_text("a b\na b c\n")
     with pytest.raises(DataError, match="line 2"):
+        ds.parse_edge_list(f)
+
+
+def test_parse_rejects_text_that_is_not_utf8(tmp_path):
+    f = tmp_path / "bad.edges"
+    f.write_bytes(b"a b\n\xff c\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(f))}: not UTF-8 text"):
         ds.parse_edge_list(f)
 
 
@@ -154,6 +164,8 @@ def test_gen_random_connected_reproducible():
         ds.gen_random_connected(1, 0.5)
     with pytest.raises(DataError):
         ds.gen_random_connected(10, 0.0)
+    with pytest.raises(DataError, match="seed >= 0, got -1"):
+        ds.gen_random_connected(10, 0.5, seed=-1)
 
 
 def test_generators_match_slow_builder_of_label_pairs():
@@ -207,6 +219,48 @@ def test_write_graph_deterministic_bytes(tmp_path):
     ds.write_graph(g, p1)
     ds.write_graph(g, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _permuted(g, order):
+    """g with id i given to node order[i]: the same labeled graph, its ids reordered."""
+    a = g.adjacency_matrix[order][:, order].tocsr()
+    a.sort_indices()
+    labels = tuple(g.labels[j] for j in order)
+    return Graph(labels, a.indptr.astype(np.int64), a.indices.astype(np.int64))
+
+
+def test_write_graph_round_trips_or_rejects_ids_out_of_first_seen_order(tmp_path):
+    rng = np.random.default_rng(19)
+    path = tmp_path / "g.edges"
+    outcomes = {"written": 0, "rejected": 0}
+    for _ in range(300):
+        n = int(rng.integers(2, 16))
+        stream = rng.integers(0, n, size=(int(rng.integers(1, 3 * n)), 2))
+        g = ds.build_graph([(str(a), str(b)) for a, b in stream if a != b] or [("0", "1")])
+        ds.write_graph(g, path)
+        assert ds.parse_edge_list(path) == g
+        h = _permuted(g, rng.permutation(g.node_count))
+        try:
+            ds.write_graph(h, path)
+        except DataError as e:
+            assert str(e) == "graph ids are not in canonical first-seen order"
+            outcomes["rejected"] += 1
+        else:
+            assert ds.parse_edge_list(path) == h
+            outcomes["written"] += 1
+    assert min(outcomes.values()) > 50
+
+
+def test_write_graph_pairs_a_node_first_seen_beside_the_next(tmp_path):
+    path = tmp_path / "g.edges"
+    # c and d are first seen together, so the line "c d" introduces both
+    ds.write_graph(ds.build_graph([("a", "b"), ("c", "d"), ("b", "d")]), path)
+    assert path.read_bytes() == b"a b\nc d\nb d\n"
+    # the path a-b-c with ids a=0, c=1, b=2: no edge joins ids 0 and 1, so no
+    # first line of an edge list can introduce them in id order
+    path_with_ids_acb = _permuted(ds.build_graph([("a", "b"), ("b", "c")]), [0, 2, 1])
+    with pytest.raises(DataError, match="not in canonical first-seen order"):
+        ds.write_graph(path_with_ids_acb, path)
 
 
 def test_format_cell():

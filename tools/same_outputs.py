@@ -21,7 +21,10 @@ adds calls on generated graphs, one per path those calls miss:
   ``--boundary grid-perimeter``;
 - ``grow`` on ``grid:12x12``, whose full ball has no stub and so leaves the
   Dirichlet cell empty, on ``grid:1x2``, a ball with no interior, and on
-  ``tree:3x6``, whose leaves are parent stubs.
+  ``tree:3x6``, whose leaves are parent stubs;
+- ``gen`` on ``tree:3x6``, ``grid:12x12``, ``whisker:20x8x4`` and
+  ``random:60x0.08 --seed 3``, whose ``graph.edges`` covers the edge-list
+  writer on each generator.
 
 Each call writes into its own directory, with its exit code in the file
 ``rc``.  Every file is compared byte for byte; the script prints each file
@@ -55,6 +58,10 @@ GENERATED = [
     ("grow-full-ball", ["grow", "--gen", "grid:12x12"]),
     ("grow-no-interior", ["grow", "--gen", "grid:1x2"]),
     ("grow-leaves", ["grow", "--gen", "tree:3x6"]),
+    ("gen-tree", ["gen", "tree:3x6"]),
+    ("gen-grid", ["gen", "grid:12x12"]),
+    ("gen-whisker", ["gen", "whisker:20x8x4"]),
+    ("gen-random", ["gen", "random:60x0.08", "--seed", "3"]),
 ]
 
 # Runs in a fresh interpreter per tree: argv[1] is the tree's src directory,
