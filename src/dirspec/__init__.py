@@ -56,6 +56,7 @@ from .spectral import (
     build_dirichlet_laplacian,
     build_normalized_laplacian,
     dirichlet_gap,
+    gaps,
     smallest_eigenpairs,
     spectral_gap,
 )

@@ -32,7 +32,7 @@ from .graph import (
     resolve_boundary,
 )
 from .ingest import write_csv, write_edges, write_graph
-from .spectral import check_tolerance, dirichlet_gap, spectral_gap
+from .spectral import check_tolerance, dirichlet_gap, gaps
 from .tree_spectrum import dirichlet_gap_analytic
 
 NUMERIC_TREE_LIMIT = 2048
@@ -82,13 +82,6 @@ def _load_graph(args, path: str | None) -> Graph:
     return largest
 
 
-def _dirichlet_cell(g: Graph, boundary: np.ndarray, tol: float) -> float | None:
-    """The Dirichlet gap, or None (an empty cell) for an empty boundary, whose
-    operator is the full Laplacian with an exact 0 that would print as rounding
-    noise, and for a boundary covering every node, which leaves no operator."""
-    return dirichlet_gap(g, boundary, tol=tol) if 0 < boundary.size < g.node_count else None
-
-
 def _outpath(args, name: str) -> str:
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -110,15 +103,7 @@ def cmd_gap(args) -> int:
     for src in args.input or [None]:
         g = _load_graph(args, src)
         boundary = resolve_boundary(g, args.boundary)
-        rows.append(
-            (
-                g.node_count,
-                g.edge_count,
-                boundary.size,
-                spectral_gap(g, tol=args.tol),
-                _dirichlet_cell(g, boundary, tol=args.tol),
-            )
-        )
+        rows.append((g.node_count, g.edge_count, boundary.size, *gaps(g, boundary, tol=args.tol)))
     path = _outpath(args, "gap.csv")
     write_csv(path, ("n", "m", "boundary_size", "traditional_gap", "dirichlet_gap"), rows)
     print(f"wrote {path}")
@@ -152,9 +137,7 @@ def cmd_grow(args) -> int:
     rows = []
     for radius in range(1, int(dist.max()) + 1):
         sub, boundary = radius_cut(g, np.flatnonzero(dist <= radius))
-        trad = spectral_gap(sub, tol=args.tol)
-        diri = _dirichlet_cell(sub, boundary, tol=args.tol)
-        rows.append((radius, sub.node_count, trad, diri))
+        rows.append((radius, sub.node_count, *gaps(sub, boundary, tol=args.tol)))
     path = _outpath(args, "grow.csv")
     write_csv(path, ("r", "n_sub", "traditional_gap", "dirichlet_gap"), rows)
     print(f"wrote {path}")
@@ -162,16 +145,18 @@ def cmd_grow(args) -> int:
 
 
 def cmd_cluster_sweep(args) -> int:
-    g = _load_graph(args, args.input)
-    boundary = resolve_boundary(g, args.boundary)
-    if boundary.size == 0:  # no CSV cell would say it
-        print("note: empty boundary; Dirichlet operator is the traditional one", file=sys.stderr)
     sizes = None
-    if args.sizes:
+    if args.sizes is not None:
         try:
             sizes = [int(s) for s in args.sizes.split(",") if s]
         except ValueError as e:
             raise UsageError(f"bad --sizes list: {e}") from e
+        if not sizes or min(sizes) < 1:
+            raise UsageError(f"bad --sizes list {args.sizes!r}: need sizes of at least 1")
+    g = _load_graph(args, args.input)
+    boundary = resolve_boundary(g, args.boundary)
+    if boundary.size == 0:  # no CSV cell would say it
+        print("note: empty boundary; Dirichlet operator is the traditional one", file=sys.stderr)
     report = clustering.sweep(g, boundary, tol=args.tol, sizes=sizes)
     sizes_path = _outpath(args, "sweep_sizes.csv")
     write_csv(sizes_path, clustering.SIZES_HEADER, clustering.size_rows(report))

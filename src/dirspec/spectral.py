@@ -10,6 +10,9 @@ Both operators are sparse and only a few of their smallest eigenpairs are
 usually wanted, so partial solves use shift-inverted Lanczos on a sparse
 LDL^T factor; a dense decomposition is kept for tiny matrices and full
 spectra.  The matrix size and the number of wanted pairs alone pick the route.
+Minimum degree, most of a factor's time, runs once per graph in ``gaps``:
+the Dirichlet operator is the traditional one's interior submatrix, and its
+factor takes the traditional factor's order restricted to the interior rows.
 
 Lanczos can skip an eigenvalue, so a shift-invert solve must prove that it
 found the smallest ones.  The general proof is an inertia count, a second
@@ -31,7 +34,7 @@ or above the computed eigenvalue minus the tolerance, the solve skipped none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -50,10 +53,21 @@ ORTHONORMALITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """Symmetric sparse operator with a map from matrix rows back to graph node ids."""
+    """Symmetric sparse operator with a map from matrix rows back to graph node ids.
+
+    ``order``, if given, is a permutation of ``range(n)``: every sparse
+    factor eliminates row ``order[j]`` at step j.
+    """
 
     matrix: sp.csr_matrix
     index_map: np.ndarray
+    order: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.order is not None:
+            o = np.sort(self.order)
+            if o.dtype.kind not in "iu" or not np.array_equal(o, range(self.n)):
+                raise DataError(f"order is not a permutation of range({self.n})")
 
     @property
     def n(self) -> int:
@@ -65,6 +79,8 @@ class EigenResult:
     """Ascending eigenvalues with per-pair residual norms and orthonormal eigenvectors.
 
     ``route`` names the solver that produced them: ``"dense"`` or ``"shift-invert"``.
+    ``order`` is the elimination order of the solve's factors, the operator's
+    own or else its minimum-degree order (None on the dense route).
     ``enclosure`` is the proved interval ``(lo, hi)`` around the smallest
     eigenvalue when a one-pair shift-invert solve was certified by it (see
     the module docstring), else None.
@@ -75,6 +91,7 @@ class EigenResult:
     residuals: np.ndarray
     tol: float
     route: str
+    order: np.ndarray | None
     enclosure: tuple[float, float] | None = None
 
 
@@ -90,6 +107,13 @@ def build_normalized_laplacian(g: Graph) -> SymmetricMatrix:
     return SymmetricMatrix(lap, np.arange(g.node_count, dtype=np.int64))
 
 
+def _restrict(m: SymmetricMatrix, rows: np.ndarray) -> SymmetricMatrix:
+    """The principal submatrix of ``m`` on the ascending ``rows``, whose order
+    eliminates them in the sequence ``m.order`` does, if ``m`` has one."""
+    order = None if m.order is None else np.argsort(np.argsort(m.order)[rows])
+    return SymmetricMatrix(m.matrix[rows][:, rows].tocsr(), m.index_map[rows], order)
+
+
 def build_dirichlet_laplacian(g: Graph, boundary: Iterable[int]) -> SymmetricMatrix:
     """Restrict the normalized Laplacian to interior rows and columns.
 
@@ -99,9 +123,7 @@ def build_dirichlet_laplacian(g: Graph, boundary: Iterable[int]) -> SymmetricMat
     inner = interior(g, boundary)
     if inner.size == 0:
         raise DataError("empty interior: boundary covers every node")
-    full = build_normalized_laplacian(g)
-    sub = full.matrix[inner][:, inner].tocsr()
-    return SymmetricMatrix(sub, inner)
+    return _restrict(build_normalized_laplacian(g), inner)
 
 
 def _ldl(a: sp.csr_matrix, shift: float, order: np.ndarray | None = None) -> SuperLU:
@@ -112,7 +134,8 @@ def _ldl(a: sp.csr_matrix, shift: float, order: np.ndarray | None = None) -> Sup
     minimum-degree ordering of A^T+A runs (on 4,000-router ISP-like maps a
     seventh of COLAMD's fill); with it, row ``order[j]`` is eliminated at step
     j, as ``np.argsort(f.perm_c)`` gives for a factor f of the same pattern,
-    and ``solve`` works in that permuted basis.
+    and ``solve`` works in that permuted basis.  A given order is a solve's
+    own minimum-degree one or the traditional one restricted in ``gaps``.
     """
     shifted = a - shift * sp.identity(a.shape[0], format="csr")
     if order is not None:
@@ -172,13 +195,14 @@ def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenR
 
     The matrix size and k alone pick one of two routes.  Shift-inverted
     Lanczos (ARPACK mode 3) factors the positive definite ``A - SHIFT*I`` once
-    as a minimum-degree LDL^T and starts from a fixed vector, so repeated
-    runs are deterministic; it serves every partial solve (``k < n-1``) above
-    DENSE_LIMIT.  Tiny matrices and full or near-full spectra (``k >= n-1``,
-    which Lanczos cannot deliver) take a dense decomposition of only the k
-    wanted pairs.  Either route must meet ``tol`` on every residual, else
-    NumericalError reports the measured residual.  The shift-invert route must
-    also prove that it skipped no smaller eigenvalue.  A one-pair solve
+    as an LDL^T, in ``m.order`` if given, else in a minimum-degree order, and
+    starts from a fixed vector, so repeated runs are deterministic; it serves
+    every partial solve (``k < n-1``) above DENSE_LIMIT.  Tiny matrices and
+    full or near-full spectra (``k >= n-1``, which Lanczos cannot deliver)
+    take a dense decomposition of only the k wanted pairs.  Either route must
+    meet ``tol`` on every residual, else NumericalError reports the measured
+    residual.  The shift-invert route must also prove that it skipped no
+    smaller eigenvalue.  A one-pair solve
     (``k == 1``) of a Z-matrix whose eigenvector has no zero entry proves it
     with one sparse matvec: the Collatz-Wielandt enclosure of the module
     docstring, widened by a rounding margin for the matvec, must have its
@@ -195,12 +219,18 @@ def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenR
     check_tolerance(tol)
     route = "dense" if n <= DENSE_LIMIT or k >= n - 1 else "shift-invert"
 
+    order = None
     if route == "dense":
         vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, k - 1])
         vecs = np.ascontiguousarray(vecs)
     else:
-        lu = _ldl(a, SHIFT)
-        op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        lu = _ldl(a, SHIFT, m.order)
+        if m.order is None:
+            order, solve = np.argsort(lu.perm_c), lu.solve
+        else:  # lu factors a[order][:, order]: y[order] = lu.solve(x[order])
+            order, rank = m.order, np.argsort(m.order)
+            solve = lambda x: lu.solve(x[order])[rank]  # noqa: E731
+        op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
         # fixed seed for repeatable runs; positive, so it overlaps every Perron
         # vector, and generic, so it is not orthogonal to eigenvectors that a
         # graph automorphism flips (a uniform start misses lambda_2 of a path)
@@ -227,9 +257,9 @@ def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenR
                 f"eigensolver did not converge within budget: {len(e.eigenvalues)}/{k} "
                 f"pairs, achieved residual {achieved:.3e}"
             ) from e
-        order = np.argsort(vals)
-        vals = vals[order]
-        vecs = np.ascontiguousarray(vecs[:, order])
+        ascending = np.argsort(vals)
+        vals = vals[ascending]
+        vecs = np.ascontiguousarray(vecs[:, ascending])
 
     avecs = a @ vecs
     residuals = np.linalg.norm(avecs - vecs * vals, axis=0)
@@ -258,29 +288,44 @@ def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenR
         # within tol of a true one, so every eigenvalue below mu must match a
         # computed value below vals[-1] - tol.
         mu = vals[-1] - 2 * tol
-        below = int((_ldl(a, mu, np.argsort(lu.perm_c)).U.diagonal() < 0).sum())
+        below = int((_ldl(a, mu, order).U.diagonal() < 0).sum())
         found = int((vals < vals[-1] - tol).sum())
         if below > found:
             raise NumericalError(
                 f"shift-invert missed eigenvalues: {below} lie below {mu:.6e}, "
                 f"only {found} computed ones do"
             )
-    return EigenResult(vals, vecs, residuals, tol, route, enclosure)
+    return EigenResult(vals, vecs, residuals, tol, route, order, enclosure)
 
 
-def spectral_gap(g: Graph, tol: float = 1e-8) -> float:
-    """Second-smallest eigenvalue of the normalized Laplacian of a connected graph.
+def gaps(g: Graph, boundary: Iterable[int], tol: float = 1e-8) -> tuple[float, float | None]:
+    """The traditional and the Dirichlet gap of a connected graph, from one
+    operator and one minimum-degree order (module docstring).
 
-    A disconnected graph has a zero second eigenvalue, which is an error;
-    ``largest_component`` reduces one first.
+    The Dirichlet gap is None for an empty boundary, whose operator is the
+    full Laplacian with an exact 0 that would print as rounding noise, and for
+    a boundary covering every node, which leaves no operator.  A disconnected
+    graph has a zero second eigenvalue, an error; ``largest_component``
+    reduces one first.
     """
-    res = smallest_eigenpairs(build_normalized_laplacian(g), k=2, tol=tol)
+    full = build_normalized_laplacian(g)
+    res = smallest_eigenpairs(full, k=2, tol=tol)
     if abs(res.eigenvalues[0]) > 1e-10 or res.eigenvalues[1] <= 1e-10:
         raise NumericalError(
             "unexpected spectrum: smallest eigenvalues "
             f"{res.eigenvalues[0]:.3e}, {res.eigenvalues[1]:.3e}"
         )
-    return float(res.eigenvalues[1])
+    trad = float(res.eigenvalues[1])
+    inner = interior(g, boundary)
+    if not 0 < inner.size < g.node_count:
+        return trad, None
+    sub = _restrict(replace(full, order=res.order), inner)
+    return trad, float(smallest_eigenpairs(sub, k=1, tol=tol).eigenvalues[0])
+
+
+def spectral_gap(g: Graph, tol: float = 1e-8) -> float:
+    """Second-smallest eigenvalue of the normalized Laplacian of a connected graph."""
+    return gaps(g, (), tol)[0]
 
 
 def dirichlet_gap(g: Graph, boundary: Iterable[int], tol: float = 1e-8) -> float:

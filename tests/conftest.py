@@ -279,7 +279,8 @@ def slow_radius_cut(sub: ds.Graph, parent: ds.Graph, members) -> frozenset[int]:
 def slow_grow_rows(g: ds.Graph, tol: float = 1e-8) -> list[tuple]:
     """``grow`` rows composed from the slow references: the 1-median by
     argmin of ``slow_distance_sums``, balls by ``slow_ball``, label round-trip
-    subgraphs and the label-based radius cut.  An empty radius cut leaves the
+    subgraphs and the label-based radius cut.  Both gaps of a ball come from
+    ``ds.gaps``, the solve ``grow`` makes.  An empty radius cut leaves the
     Dirichlet cell empty, as ``grow`` does: the operator is then the full
     Laplacian, whose smallest eigenvalue is 0."""
     sums = slow_distance_sums(g)
@@ -288,17 +289,13 @@ def slow_grow_rows(g: ds.Graph, tol: float = 1e-8) -> list[tuple]:
     for radius in range(1, slow_eccentricity(g, center) + 1):
         members = slow_ball(g, center, radius)
         sub = slow_induced_subgraph(g, members)
-        trad = diri = None
-        try:
-            trad = ds.spectral_gap(sub, tol=tol)
-        except DirspecError:
-            pass
         nodes = slow_radius_cut(sub, g, members)
-        if 0 < len(nodes) < sub.node_count:  # else no boundary or "no interior"
-            try:
-                diri = ds.dirichlet_gap(sub, sorted(nodes), tol=tol)
-            except DirspecError:
-                pass
+        try:
+            trad, diri = ds.gaps(sub, sorted(nodes), tol=tol)
+        except DirspecError:
+            trad = diri = None
+        if not 0 < len(nodes) < sub.node_count:  # no boundary or "no interior"
+            diri = None
         rows.append((radius, sub.node_count, trad, diri))
     return rows
 

@@ -80,14 +80,19 @@ def test_gap_command_multiple_inputs(tmp_path):
 
 
 def test_gap_command_factorization_count(tmp_path, monkeypatch):
-    # the k=2 traditional solve orders and factors once, and its inertia
-    # factor reuses that order; the k=1 Dirichlet solve is certified by its
-    # enclosure and needs one factor only.  Every factor has diagonal pivots.
-    g = isp_like_graph(400, seed=7)
-    b = ds.resolve_boundary(g, "degree-one")
-    assert ds.is_connected(g) and 0 < len(b)
-    assert ds.interior(g, b).size > spectral.DENSE_LIMIT
-    ds.write_graph(g, tmp_path / "isp.edges")
+    # per map, the k=2 traditional solve orders and factors once and its
+    # inertia factor reuses that order; the k=1 Dirichlet solve factors in
+    # that order restricted to the interior and is certified by its
+    # enclosure.  So minimum degree runs once per map, and every factor has
+    # diagonal pivots.
+    paths = []
+    for seed in (7, 8):
+        g = isp_like_graph(400, seed=seed)
+        b = ds.resolve_boundary(g, "degree-one")
+        assert ds.is_connected(g) and 0 < len(b)
+        assert ds.interior(g, b).size > spectral.DENSE_LIMIT
+        paths.append(str(tmp_path / f"isp{seed}.edges"))
+        ds.write_graph(g, paths[-1])
     factored = []
     real_splu = spectral.splu
 
@@ -96,9 +101,24 @@ def test_gap_command_factorization_count(tmp_path, monkeypatch):
         return real_splu(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "splu", counting_splu)
-    argv = ["gap", "--input", str(tmp_path / "isp.edges"), "--boundary", "degree-one"]
+    argv = ["gap", "--input", *paths, "--boundary", "degree-one"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
-    assert factored == [("MMD_AT_PLUS_A", 0.0), ("NATURAL", 0.0), ("MMD_AT_PLUS_A", 0.0)]
+    assert factored == 2 * [("MMD_AT_PLUS_A", 0.0), ("NATURAL", 0.0), ("NATURAL", 0.0)]
+
+
+def test_grow_assembles_each_ball_once(tmp_path, monkeypatch):
+    built = []
+    real = spectral.build_normalized_laplacian
+
+    def counting(g):
+        built.append(g.node_count)
+        return real(g)
+
+    monkeypatch.setattr(spectral, "build_normalized_laplacian", counting)
+    assert main(["grow", "--gen", "tree:3x6", "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "grow.csv")
+    assert all(r[3] for r in rows[:-1])  # every ball but the whole tree has a boundary
+    assert built == [int(r[1]) for r in rows]
 
 
 def test_gap_command_finds_components_once_per_map(tmp_path, monkeypatch):
@@ -216,6 +236,11 @@ def test_usage_errors_exit_code(tmp_path):
         argv = [command, "--input", str(tmp_path / "k3.edges"), "--gen", "grid:4x4"]
         assert main([*argv, "--out", str(tmp_path)]) == 1
     assert main(["nonsense"]) == 1
+    # a --sizes list with no size, or with a size below 1, fails before any solve
+    for sizes in (",", "", "0,-3", "5,0"):
+        argv = ["cluster-sweep", "--gen", "whisker:5x2x2", "--sizes", sizes]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "sweep_sizes.csv").exists()
 
 
 def test_unwritable_out_is_a_data_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -440,3 +441,125 @@ def test_grid_gaps_match_reported_values():
     # the interior operator is exactly separable, so this form is exact
     assert diri == pytest.approx(1 - math.cos(math.pi / 99), abs=1e-9)
     assert diri > trad
+
+
+ORDER_CASES = (
+    (lambda: ds.gen_grid(30, 17), "grid-perimeter"),
+    (lambda: ds.gen_tree(3, 8), "leaves"),
+    (lambda: isp_like_graph(400, seed=3), "degree-one"),
+)
+
+
+def _spy_ldl_orders(monkeypatch) -> list:
+    # the order argument of every factor, None for a minimum-degree one
+    orders = []
+    real_ldl = spectral._ldl
+
+    def spying(a, shift, order=None):
+        orders.append(order)
+        return real_ldl(a, shift, order)
+
+    monkeypatch.setattr(spectral, "_ldl", spying)
+    return orders
+
+
+@pytest.mark.parametrize("certificate", ["enclosure", "inertia-k2", "inertia-k1"])
+@pytest.mark.parametrize("make, boundary", ORDER_CASES, ids=["grid", "tree", "isp"])
+def test_supplied_order_matches_own_order(monkeypatch, make, boundary, certificate):
+    # a random permutation is a poor elimination order, but any order must
+    # give the same eigenpairs: its factor works in the permuted basis, and
+    # the solve maps back
+    g = make()
+    m = build_dirichlet_laplacian(g, ds.resolve_boundary(g, boundary))
+    ordered = dataclasses.replace(m, order=np.random.default_rng(5).permutation(m.n))
+    k = 2 if certificate == "inertia-k2" else 1
+    if certificate == "inertia-k1":
+        monkeypatch.setattr(spectral, "_collatz_wielandt", lambda a, x, ax: None)
+    plain = smallest_eigenpairs(m, k)
+    orders = _spy_ldl_orders(monkeypatch)
+    given = smallest_eigenpairs(ordered, k)
+    assert plain.route == given.route == "shift-invert"
+    assert np.array_equal(np.sort(plain.order), np.arange(m.n))
+    assert given.order is ordered.order
+    if certificate == "enclosure":
+        assert plain.enclosure is not None and given.enclosure is not None
+        assert orders == [ordered.order]
+    else:
+        assert plain.enclosure is None and given.enclosure is None
+        assert orders == [ordered.order, ordered.order]  # the inertia count's too
+    assert np.abs(plain.eigenvalues - given.eigenvalues).max() <= 1e-12
+    dense = np.linalg.eigvalsh(m.matrix.toarray())
+    simple = np.diff(dense) > 1e-6
+    for i in range(k):
+        if simple[i] and (i == 0 or simple[i - 1]):
+            cosine = plain.eigenvectors[:, i] @ given.eigenvectors[:, i]
+            assert abs(abs(cosine) - 1) <= 1e-8
+
+
+def test_dense_route_ignores_order():
+    m = build_normalized_laplacian(ds.gen_grid(8, 8))
+    ordered = dataclasses.replace(m, order=np.random.default_rng(5).permutation(m.n))
+    plain, given = smallest_eigenpairs(m, 2), smallest_eigenpairs(ordered, 2)
+    assert plain.route == given.route == "dense"
+    assert plain.order is None and given.order is None
+    assert np.array_equal(plain.eigenvalues, given.eigenvalues)
+    assert np.array_equal(plain.eigenvectors, given.eigenvectors)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [np.arange(5), np.array([0, 1, 2, 3, 3, 5]), np.array([0, 1, 2, 3, 4, 6]),
+     np.array([-1, 0, 1, 2, 3, 4]), np.arange(6.0), np.arange(6) == 0],
+    ids=["short", "repeated", "past-n", "negative", "float", "bool"],
+)
+def test_order_must_be_a_permutation(order):
+    m = build_normalized_laplacian(path_graph(6))
+    with pytest.raises(DataError, match=r"not a permutation of range\(6\)"):
+        spectral.SymmetricMatrix(m.matrix, m.index_map, order)
+    assert spectral.SymmetricMatrix(m.matrix, m.index_map, np.arange(6)[::-1]).order[0] == 5
+
+
+def test_restriction_keeps_the_elimination_sequence():
+    g = isp_like_graph(400, seed=3)
+    full = build_normalized_laplacian(g)
+    order = np.random.default_rng(5).permutation(full.n)
+    b = ds.resolve_boundary(g, "degree-one")
+    inner = ds.interior(g, b)
+    sub = spectral._restrict(dataclasses.replace(full, order=order), inner)
+    assert (sub.matrix != build_dirichlet_laplacian(g, b).matrix).nnz == 0
+    assert np.array_equal(sub.index_map, inner)
+    # the kept rows are eliminated in the sequence the full order gives them
+    assert np.array_equal(inner[sub.order], order[np.isin(order, inner)])
+    assert spectral._restrict(full, inner).order is None
+
+
+@pytest.mark.parametrize(
+    "spec, boundary",
+    [
+        ("grid:30x17", "grid-perimeter"),
+        ("tree:3x8", "leaves"),
+        ("random:400x0.012", "grid-perimeter"),  # a 259-row interior in two pieces
+        ("whisker:6x3x2", "degree-one"),  # dense route
+    ],
+)
+def test_gaps_match_the_separate_solves(monkeypatch, spec, boundary):
+    g = parse_generator_spec(spec, seed=3)
+    b = ds.resolve_boundary(g, boundary)
+    orders = _spy_ldl_orders(monkeypatch)
+    trad, diri = ds.gaps(g, b)
+    # minimum degree runs at most once: only the traditional Lanczos factor
+    assert sum(o is None for o in orders) == (g.node_count > spectral.DENSE_LIMIT)
+    assert trad == ds.spectral_gap(g)
+    assert abs(diri - ds.dirichlet_gap(g, b)) <= 1e-12
+    dense = np.linalg.eigvalsh(build_dirichlet_laplacian(g, b).matrix.toarray())[0]
+    assert abs(diri - dense) <= 1e-10
+
+
+def test_gaps_leave_an_undefined_dirichlet_gap_empty():
+    grid = ds.gen_grid(10, 10)  # no stub: empty boundary
+    trad, diri = ds.gaps(grid, ds.resolve_boundary(grid, "degree-one"))
+    assert diri is None and trad == ds.spectral_gap(grid)
+    pair = ds.gen_grid(1, 2)  # both nodes are stubs: no interior
+    assert ds.gaps(pair, ds.resolve_boundary(pair, "degree-one")) == (pytest.approx(2.0), None)
+    with pytest.raises(NumericalError, match="unexpected spectrum"):
+        ds.gaps(ds.build_graph([("a", "b"), ("x", "y")]), [0])

@@ -17,8 +17,11 @@ adds calls on generated graphs, one per path those calls miss:
   makes the Dirichlet operator the traditional one;
 - ``gap`` on ``grid:10x10``, whose empty boundary leaves the Dirichlet cell
   empty, on ``grid:1x2``, whose boundary covers every node and also leaves
-  it empty, on a tree with ``--boundary leaves``, and on a grid with
-  ``--boundary grid-perimeter``;
+  it empty, on a tree with ``--boundary leaves``, on a grid with
+  ``--boundary grid-perimeter``, and on ``random:400x0.012 --seed 3`` with
+  ``--boundary grid-perimeter``, whose 259-row interior has two components,
+  so the Dirichlet factor takes the traditional order restricted to a split
+  interior;
 - ``grow`` on ``grid:12x12``, whose full ball has no stub and so leaves the
   Dirichlet cell empty, on ``grid:1x2``, a ball with no interior, and on
   ``tree:3x6``, whose leaves are parent stubs;
@@ -55,6 +58,8 @@ GENERATED = [
     ("gap-no-interior", ["gap", "--gen", "grid:1x2"]),
     ("gap-leaves", ["gap", "--gen", "tree:3x6", "--boundary", "leaves"]),
     ("gap-perimeter", ["gap", "--gen", "grid:30x30", "--boundary", "grid-perimeter"]),
+    ("gap-split-interior", ["gap", "--gen", "random:400x0.012", "--seed", "3",
+                            "--boundary", "grid-perimeter"]),
     ("grow-full-ball", ["grow", "--gen", "grid:12x12"]),
     ("grow-no-interior", ["grow", "--gen", "grid:1x2"]),
     ("grow-leaves", ["grow", "--gen", "tree:3x6"]),
