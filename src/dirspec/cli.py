@@ -32,7 +32,13 @@ from .graph import (
     resolve_boundary,
 )
 from .ingest import write_csv, write_edges, write_graph
-from .spectral import check_tolerance, dirichlet_gap, gaps
+from .spectral import (
+    _restrict,
+    build_normalized_laplacian,
+    check_tolerance,
+    gaps,
+    smallest_eigenpairs,
+)
 from .tree_spectrum import dirichlet_gap_analytic
 
 NUMERIC_TREE_LIMIT = 2048
@@ -116,14 +122,25 @@ def cmd_tree_converge(args) -> int:
         raise UsageError("tree-converge requires --degree >= 3")
     if args.max_levels < 1:
         raise UsageError("tree-converge requires --max-levels >= 1")
-    rows = []
-    for levels in range(1, args.max_levels + 1):
-        analytic = dirichlet_gap_analytic(args.degree, levels)
-        numeric = None
-        if ingest.tree_node_count(args.degree, levels + 1) <= NUMERIC_TREE_LIMIT:
-            tree = ingest.gen_tree(args.degree, levels + 1)
-            numeric = dirichlet_gap(tree, resolve_boundary(tree, "leaves"), tol=args.tol)
-        rows.append((levels, analytic, numeric))
+    depths = np.arange(1, args.max_levels + 1)
+    analytic = dirichlet_gap_analytic(args.degree, depths)
+    numeric = [None] * args.max_levels
+    deepest = 0
+    while (
+        deepest < args.max_levels
+        and ingest.tree_node_count(args.degree, deepest + 2) <= NUMERIC_TREE_LIMIT
+    ):
+        deepest += 1
+    if deepest:
+        # gen_tree numbers nodes level by level and an interior node has degree d
+        # in every deeper tree, so the Dirichlet operator of leaves at depth L+1
+        # is the leading block on the ids below tree_node_count(d, L)
+        lap = build_normalized_laplacian(ingest.gen_tree(args.degree, deepest + 1))
+        for levels in range(1, deepest + 1):
+            inner = _restrict(lap, np.arange(ingest.tree_node_count(args.degree, levels)))
+            res = smallest_eigenpairs(inner, k=1, tol=args.tol)
+            numeric[levels - 1] = float(res.eigenvalues[0])
+    rows = zip(depths.tolist(), analytic.tolist(), numeric)
     path = _outpath(args, "tree_converge.csv")
     write_csv(path, ("L", "analytic_gap", "numeric_gap"), rows)
     print(f"wrote {path}")

@@ -35,6 +35,14 @@ pi/2 is a root. Last, f(pi - a) = (-1)^m f(a), so the roots above pi/2 are
 the mirror images pi - a of those below. That accounts for all m roots, and
 the gap's root is the one on B_1 = (pi/(2m), pi/m).
 
+One bisection serves many roots. Each pair (m, j) is a lane with bracket
+B_j, and every lane is halved at once by array operations; a lane leaves
+when its bracket is two adjacent floats or its midpoint is an exact zero.
+A lane runs the float operations that bisecting its bracket alone would, so
+its root does not depend on the other lanes. symmetric_family_roots bisects
+the lanes j = 1..floor(m/2) of one depth, and dirichlet_gap_analytic the
+lane j = 1 of every depth it is given.
+
 The residual guard. At a float a within an ulp or two of a root, the
 computed f differs from zero by (i) |f'| |a - a*|, where
 |f'| <= 2(d-1)(m+1) and |a - a*| is about eps for angles below pi; (ii) the
@@ -65,88 +73,117 @@ def infinite_tree_gap(degree: int) -> float:
     return 1.0 - 2.0 * math.sqrt(degree - 1) / degree
 
 
-def _eig_condition(degree: int, levels: int, a: float) -> float:
+def _eig_condition(degree: int, levels, a):
+    """The condition f(a) with m = levels+1; ``levels`` and ``a`` may be arrays
+    that broadcast together, one lane per element."""
     m = levels + 1
-    return degree * math.sin(a) * math.cos(m * a) + (degree - 2) * math.cos(
-        a
-    ) * math.sin(m * a)
+    return degree * np.sin(a) * np.cos(m * a) + (degree - 2) * np.cos(a) * np.sin(m * a)
 
 
-def _check_family_args(degree: int, levels: int) -> None:
+def _check_family_args(degree: int, levels) -> None:
     if degree < 3:
         raise DataError("finite-tree eigenvalue condition requires degree >= 3")
-    if levels < 1:
+    if (np.asarray(levels) < 1).any():
         raise DataError("levels must be >= 1")
 
 
-def _bracketed_root(degree: int, levels: int, j: int) -> float:
-    """Root j of the condition, the one on ((j-1/2)pi/m, j pi/m), j = 1..m//2.
+def _bracketed_roots(degree: int, levels, j) -> np.ndarray:
+    """Root j of the condition on ((j-1/2)pi/m, j pi/m), m = levels+1, for
+    each lane of ``levels`` and ``j`` broadcast together (j = 1..m//2).
 
-    The ends must carry the proved signs (-1)^(j+1) and (-1)^j, else
-    NumericalError. Bisection runs to adjacent floats and returns the end
-    with the smaller residual.
+    Every lane's ends must carry the proved signs (-1)^(j+1) and (-1)^j, else
+    NumericalError names the first lane without them.  The lanes are bisected
+    together, each to adjacent floats, and each returns the end with the
+    smaller residual, or a midpoint where the condition is exactly 0: the
+    floats that bisecting each lane alone gives.
     """
+    levels, j = (np.ravel(x) for x in np.broadcast_arrays(levels, j))
     m = levels + 1
-    lo, hi = (j - 0.5) * math.pi / m, j * math.pi / m
-    flo = _eig_condition(degree, levels, lo)
-    fhi = _eig_condition(degree, levels, hi)
-    sign = 1.0 if j % 2 else -1.0
-    if not (sign * flo > 0.0 > sign * fhi):
+    lo, hi = (j - 0.5) * np.pi / m, j * np.pi / m
+    flo = np.broadcast_to(_eig_condition(degree, levels, lo), lo.shape)
+    fhi = np.broadcast_to(_eig_condition(degree, levels, hi), lo.shape)
+    sign = np.where(j % 2 == 1, 1.0, -1.0)
+    bad = np.flatnonzero(~((sign * flo > 0.0) & (sign * fhi < 0.0)))
+    if bad.size:
+        i = bad[0]
         raise NumericalError(
-            f"root {j} bracket has no sign change: condition {flo:.3e} at "
-            f"(j-1/2)pi/m, {fhi:.3e} at j*pi/m (degree={degree}, levels={levels})"
+            f"root {j[i]} bracket has no sign change: condition {flo[i]:.3e} at "
+            f"(j-1/2)pi/m, {fhi[i]:.3e} at j*pi/m (degree={degree}, levels={levels[i]})"
         )
+    roots = np.empty(lo.shape)
+    lane = np.arange(lo.size)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
         fm = _eig_condition(degree, levels, mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return lo if abs(flo) <= abs(fhi) else hi
+        ended = (mid == lo) | (mid == hi)
+        exact = (fm == 0.0) & ~ended
+        live = ~(ended | exact)
+        if not live.all():
+            roots[lane[ended]] = np.where(abs(flo) <= abs(fhi), lo, hi)[ended]
+            roots[lane[exact]] = mid[exact]
+            lane, levels, lo, hi, flo, fhi, mid, fm = (
+                x[live] for x in (lane, levels, lo, hi, flo, fhi, mid, fm)
+            )
+            if not lane.size:
+                break
+        right = flo * fm < 0.0  # the sign change lies in (lo, mid)
+        lo, flo = np.where(right, lo, mid), np.where(right, flo, fm)
+        hi, fhi = np.where(right, mid, hi), np.where(right, fm, fhi)
+    roots[lane] = np.where(abs(flo) <= abs(fhi), lo, hi)
+    return roots
 
 
-def _check_residual(degree: int, levels: int, roots) -> None:
+def _check_residual(degree: int, levels, roots: np.ndarray) -> None:
     guard = 8 * np.finfo(float).eps * degree * (levels + 2)
-    bad = max(abs(_eig_condition(degree, levels, r)) for r in roots)
-    if bad > guard:
-        raise NumericalError(f"root residual {bad:.3e} exceeds {guard:.3e}")
+    residual = np.abs(_eig_condition(degree, levels, roots))
+    residual, guard, levels = np.broadcast_arrays(residual, guard, levels)
+    bad = np.flatnonzero(residual > guard)
+    if bad.size:
+        i = bad[0]
+        raise NumericalError(
+            f"root residual {residual[i]:.3e} exceeds {guard[i]:.3e} "
+            f"(degree={degree}, levels={levels[i]})"
+        )
 
 
 def symmetric_family_roots(degree: int, levels: int) -> np.ndarray:
     """All levels+1 angle roots of the eigenvalue condition on (0, pi), ascending.
 
-    Root j below pi/2 is solved on its own bracket; pi/2 is a root when
-    levels+1 is odd, and the rest mirror the lower roots as a -> pi - a.
+    The roots below pi/2 are solved together, each on its own bracket; pi/2
+    is a root when levels+1 is odd, and the rest mirror the lower roots as
+    a -> pi - a.
     """
     _check_family_args(degree, levels)
     m = levels + 1
-    low = [_bracketed_root(degree, levels, j) for j in range(1, m // 2 + 1)]
-    middle = [math.pi / 2] if m % 2 else []
-    roots = low + middle + [math.pi - a for a in reversed(low)]
+    low = _bracketed_roots(degree, levels, np.arange(1, m // 2 + 1))
+    roots = np.concatenate([low, [math.pi / 2] if m % 2 else [], math.pi - low[::-1]])
     _check_residual(degree, levels, roots)
-    return np.array(roots)
+    return roots
 
 
-def eigenvalue_from_angle(degree: int, a: float) -> float:
-    return 1.0 - 2.0 * math.sqrt(degree - 1) / degree * math.cos(a)
+def eigenvalue_from_angle(degree: int, a):
+    """1 - (2/d) sqrt(d-1) cos(a), for one angle or an array of them."""
+    return 1.0 - 2.0 * math.sqrt(degree - 1) / degree * np.cos(a)
 
 
-def dirichlet_gap_analytic(degree: int, levels: int) -> float:
+def dirichlet_gap_analytic(degree: int, levels) -> float | np.ndarray:
     """Smallest boundary-conditioned eigenvalue of the finite regular tree.
 
-    Solves only the smallest root of the condition, on its one-root bracket
-    (pi/(2m), pi/m) with m = levels+1, the same solve that gives
-    symmetric_family_roots its first root (see the module docstring).
+    ``levels`` is an int, giving a float, or a 1-D int array, giving an
+    array of gaps, one per depth.  Solves only the smallest root of the
+    condition, on its one-root bracket (pi/(2m), pi/m) with m = levels+1,
+    every depth in one bisection; it is the root that symmetric_family_roots
+    puts first (see the module docstring).
     """
-    _check_family_args(degree, levels)
-    root = _bracketed_root(degree, levels, 1)
-    _check_residual(degree, levels, [root])
-    return eigenvalue_from_angle(degree, root)
+    lv = np.asarray(levels)
+    if lv.dtype.kind not in "iu" or lv.ndim > 1:
+        raise DataError("levels must be an int or a 1-D int array")
+    lv = lv.astype(np.int64)  # levels + 2 must not wrap in a narrow dtype
+    _check_family_args(degree, lv)
+    roots = _bracketed_roots(degree, lv, 1)
+    _check_residual(degree, lv, roots)
+    gaps = eigenvalue_from_angle(degree, roots)
+    return float(gaps[0]) if lv.ndim == 0 else gaps
 
 
 def sector_family_eigenvalues(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +194,7 @@ def sector_family_eigenvalues(degree: int, levels: int) -> tuple[np.ndarray, np.
     _check_family_args(degree, levels)
     k, col = np.triu_indices(levels)  # k ascending, then j = col - k + 1 ascending
     angles = (col - k + 1) * math.pi / (levels + 1 - k)
-    # the operations of eigenvalue_from_angle, in its order
-    values = 1.0 - 2.0 * math.sqrt(degree - 1) / degree * np.cos(angles)
-    return values, k
+    return eigenvalue_from_angle(degree, angles), k
 
 
 @dataclass(frozen=True)
@@ -177,6 +212,6 @@ class TreeSpectrumResult:
 
 def tree_spectrum(degree: int, levels: int) -> TreeSpectrumResult:
     angles = symmetric_family_roots(degree, levels)
-    sym_vals = np.array([eigenvalue_from_angle(degree, a) for a in angles])
+    sym_vals = eigenvalue_from_angle(degree, angles)
     sector_vals, sector_levels = sector_family_eigenvalues(degree, levels)
     return TreeSpectrumResult(degree, levels, angles, sym_vals, sector_vals, sector_levels)

@@ -22,7 +22,8 @@ from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.sparse import csgraph
 
 import dirspec as ds
-from dirspec.errors import DataError, DirspecError
+from dirspec.errors import DataError, DirspecError, NumericalError
+from dirspec.tree_spectrum import _eig_condition
 
 
 @pytest.fixture
@@ -437,6 +438,38 @@ def slow_radial_tree_spectrum(degree: int, levels: int) -> np.ndarray:
     off = np.full(levels, math.sqrt(degree - 1))
     off[0] = math.sqrt(degree)
     return eigvalsh_tridiagonal(np.ones(levels + 1), -off / degree)
+
+
+def slow_bracketed_root(degree: int, levels: int, j: int) -> float:
+    """Root j of the condition, the one on ((j-1/2)pi/m, j pi/m), j = 1..m//2,
+    by bisecting that one bracket alone, one scalar evaluation at a time.
+
+    The ends must carry the proved signs (-1)^(j+1) and (-1)^j, else
+    NumericalError. Bisection runs to adjacent floats and returns the end
+    with the smaller residual.
+    """
+    m = levels + 1
+    lo, hi = (j - 0.5) * math.pi / m, j * math.pi / m
+    flo = _eig_condition(degree, levels, lo)
+    fhi = _eig_condition(degree, levels, hi)
+    sign = 1.0 if j % 2 else -1.0
+    if not (sign * flo > 0.0 > sign * fhi):
+        raise NumericalError(
+            f"root {j} bracket has no sign change: condition {flo:.3e} at "
+            f"(j-1/2)pi/m, {fhi:.3e} at j*pi/m (degree={degree}, levels={levels})"
+        )
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = _eig_condition(degree, levels, mid)
+        if fm == 0.0:
+            return mid
+        if flo * fm < 0.0:
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 def merged_tree_values(spec: ds.TreeSpectrumResult) -> np.ndarray:

@@ -4,11 +4,12 @@ import math
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 import dirspec as ds
 import dirspec.cli as cli
-from dirspec import spectral
+from dirspec import ingest, spectral
 from dirspec.cli import main, parse_generator_spec
 
 from conftest import isp_like_graph, slow_eccentricity, slow_grow_rows
@@ -318,6 +319,50 @@ def test_tree_converge_numeric_column_cutoff(tmp_path):
     present = [bool(r[2]) for r in rows]
     assert present == [ds.tree_node_count(3, L + 1) <= 2048 for L in range(1, 11)]
     assert not all(present) and any(present)
+
+
+def _deepest_numeric_levels(degree: int) -> int:
+    levels = 0
+    while ds.tree_node_count(degree, levels + 2) <= cli.NUMERIC_TREE_LIMIT:
+        levels += 1
+    return levels
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 10])
+def test_tree_dirichlet_operator_is_a_leading_block(degree):
+    # ids run level by level and interior degrees do not change with depth,
+    # so each depth's operator is a leading block of the deepest tree's one
+    deepest = _deepest_numeric_levels(degree)
+    assert deepest >= 2
+    lap = spectral.build_normalized_laplacian(ds.gen_tree(degree, deepest + 1))
+    for levels in range(1, deepest + 1):
+        block = spectral._restrict(lap, np.arange(ds.tree_node_count(degree, levels)))
+        tree = ds.gen_tree(degree, levels + 1)
+        want = spectral.build_dirichlet_laplacian(tree, ds.resolve_boundary(tree, "leaves"))
+        for name in ("indptr", "indices", "data"):
+            got_a, want_a = getattr(block.matrix, name), getattr(want.matrix, name)
+            assert got_a.dtype == want_a.dtype and np.array_equal(got_a, want_a), (levels, name)
+        assert block.matrix.shape == want.matrix.shape
+        assert np.array_equal(block.index_map, want.index_map), levels
+        assert block.order is None and want.order is None
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 10])
+def test_tree_converge_cells_print_as_the_per_graph_routes(tmp_path, degree):
+    deepest = _deepest_numeric_levels(degree)
+    flags = ["--degree", str(degree), "--max-levels", str(deepest + 2)]
+    assert main(["tree-converge", *flags, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "tree_converge.csv")
+    assert [int(r[0]) for r in rows] == list(range(1, deepest + 3))
+    for levels, analytic, numeric in rows:
+        levels = int(levels)
+        assert analytic == ingest.format_cell(ds.dirichlet_gap_analytic(degree, levels))
+        if levels > deepest:
+            assert numeric == ""
+            continue
+        tree = ds.gen_tree(degree, levels + 1)
+        gap = ds.dirichlet_gap(tree, ds.resolve_boundary(tree, "leaves"))
+        assert numeric == ingest.format_cell(gap), levels
 
 
 def test_tree_converge_large_depth(tmp_path):

@@ -9,12 +9,13 @@ import pytest
 import dirspec as ds
 from dirspec.errors import DataError, NumericalError
 from dirspec.spectral import build_dirichlet_laplacian, smallest_eigenpairs
-from dirspec.tree_spectrum import _eig_condition, eigenvalue_from_angle
+from dirspec.tree_spectrum import _bracketed_roots, _eig_condition, eigenvalue_from_angle
 
-from conftest import merged_tree_values, slow_radial_tree_spectrum
+from conftest import merged_tree_values, slow_bracketed_root, slow_radial_tree_spectrum
 
 # depths at which a fixed 1e-12 residual guard rejected the family's largest roots
 DEEP_CASES = ((3, 2000), (4, 2000), (5, 700), (6, 700), (8, 300), (10, 300))
+GAP_LEVELS = [*range(1, 51), 200, 1000, 5000]
 
 
 def test_infinite_tree_gap_values():
@@ -79,7 +80,7 @@ def test_gap_analytic_is_smallest_family_root():
 def test_smallest_root_bracket_signs():
     # every bracket ((j-1/2)pi/m, j pi/m) has the proved end signs (-1)^(j+1), (-1)^j
     for degree in range(3, 11):
-        for levels in [*range(1, 51), 200, 1000, 5000]:
+        for levels in GAP_LEVELS:
             m = levels + 1
             for j in range(1, m // 2 + 1):
                 sign = 1.0 if j % 2 else -1.0
@@ -90,6 +91,56 @@ def test_smallest_root_bracket_signs():
                 if 2 * j == m:
                     # the last bracket of an even m ends at pi/2
                     assert right == pytest.approx(degree * (-1) ** j, abs=1e-12)
+
+
+@pytest.mark.parametrize("degree", range(3, 11))
+def test_gap_lanes_equal_scalar_bisection(degree):
+    levels = np.array(GAP_LEVELS)
+    roots = _bracketed_roots(degree, levels, 1)
+    want = [slow_bracketed_root(degree, int(L), 1) for L in levels]
+    assert roots.tolist() == want
+    gaps = ds.dirichlet_gap_analytic(degree, levels)
+    assert gaps.tolist() == [eigenvalue_from_angle(degree, a) for a in want]
+
+
+@pytest.mark.parametrize("degree", range(3, 11))
+def test_family_lanes_equal_scalar_bisection(degree):
+    for levels in [*range(1, 51), 200]:
+        m = levels + 1
+        want = [slow_bracketed_root(degree, levels, j) for j in range(1, m // 2 + 1)]
+        assert _bracketed_roots(degree, levels, np.arange(1, m // 2 + 1)).tolist() == want
+        roots = ds.symmetric_family_roots(degree, levels)
+        assert roots[: m // 2].tolist() == want, levels
+        assert roots[m - m // 2 :].tolist() == [math.pi - a for a in reversed(want)]
+
+
+def test_gap_analytic_scalar_and_array_levels():
+    gap = ds.dirichlet_gap_analytic(3, 7)
+    assert type(gap) is float
+    assert ds.dirichlet_gap_analytic(3, np.int64(7)) == gap
+    gaps = ds.dirichlet_gap_analytic(3, np.array([7, 1, 7]))
+    assert gaps.tolist() == [gap, ds.dirichlet_gap_analytic(3, 1), gap]
+    assert ds.dirichlet_gap_analytic(3, np.array([], dtype=np.int64)).shape == (0,)
+    narrow = ds.dirichlet_gap_analytic(3, np.array([127], dtype=np.int8))
+    assert narrow.tolist() == [ds.dirichlet_gap_analytic(3, 127)]
+    for bad in (np.array([3, 0]), np.array([2.0, 3.0]), np.array([[2, 3]]), True):
+        with pytest.raises(DataError):
+            ds.dirichlet_gap_analytic(3, bad)
+
+
+def test_gap_lane_without_sign_change_is_named(monkeypatch):
+    module = importlib.import_module("dirspec.tree_spectrum")
+    condition = module._eig_condition
+
+    def positive_at_depth_7(degree, levels, a):
+        f = condition(degree, levels, a)
+        return np.where(levels == 7, abs(f), f)
+
+    monkeypatch.setattr(module, "_eig_condition", positive_at_depth_7)
+    with pytest.raises(NumericalError, match=r"root 1 bracket has no sign change.*levels=7\)"):
+        ds.dirichlet_gap_analytic(3, np.arange(1, 21))
+    # the other lanes still solve
+    assert ds.dirichlet_gap_analytic(3, np.arange(8, 21)).shape == (13,)
 
 
 @pytest.mark.parametrize("value", [1.0, -1.0])

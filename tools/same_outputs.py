@@ -27,7 +27,12 @@ adds calls on generated graphs, one per path those calls miss:
   ``tree:3x6``, whose leaves are parent stubs;
 - ``gen`` on ``tree:3x6``, ``grid:12x12``, ``whisker:20x8x4`` and
   ``random:60x0.08 --seed 3``, whose ``graph.edges`` covers the edge-list
-  writer on each generator.
+  writer on each generator;
+- ``tree-converge`` with ``--degree 4 --max-levels 60`` and with
+  ``--degree 10 --max-levels 300``, two more degrees with numeric cells, with
+  ``--degree 50 --max-levels 3``, which has no numeric cell because
+  ``tree:50x2`` has 2,501 nodes, and with ``--degree 3 --max-levels 1``, a
+  single depth.
 
 Each call writes into its own directory, with its exit code in the file
 ``rc``.  Every file is compared byte for byte; the script prints each file
@@ -67,6 +72,10 @@ GENERATED = [
     ("gen-grid", ["gen", "grid:12x12"]),
     ("gen-whisker", ["gen", "whisker:20x8x4"]),
     ("gen-random", ["gen", "random:60x0.08", "--seed", "3"]),
+    ("tree-degree-4", ["tree-converge", "--degree", "4", "--max-levels", "60"]),
+    ("tree-degree-10", ["tree-converge", "--degree", "10", "--max-levels", "300"]),
+    ("tree-no-numeric", ["tree-converge", "--degree", "50", "--max-levels", "3"]),
+    ("tree-one-depth", ["tree-converge", "--degree", "3", "--max-levels", "1"]),
 ]
 
 # Runs in a fresh interpreter per tree: argv[1] is the tree's src directory,
