@@ -8,8 +8,9 @@ endings, and floats printed with 6 significant digits.
 
 from __future__ import annotations
 
+import io
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,17 +21,31 @@ SIZE_GUARD = 10_000_000
 
 
 def parse_edge_list(path: str | os.PathLike) -> Graph:
-    """Parse a plain edge-list file into a canonical Graph."""
+    """Parse a plain edge-list file into a canonical Graph.
+
+    The file is read once as text, so a file that is not UTF-8 is reported
+    before any malformed line; ``build_graph`` then takes its edges one line
+    at a time, and no list of lines or label pairs is built.
+    """
     try:
         with open(path, "r", encoding="utf-8-sig") as f:  # drops a leading BOM
-            lines = f.readlines()
+            text = f.read()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e.reason})") from e
+    return build_graph(_edge_tokens(path, text))
 
-    pairs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
+
+def _edge_tokens(path: str | os.PathLike, text: str) -> Iterator[list[str]]:
+    """The two labels of each edge line of ``text``, in file order.
+
+    Lines end where ``readlines()`` ends them: at LF only, since reading in
+    text mode turned CR and CRLF into LF; ``str.splitlines`` would also break
+    at form feeds and other separators and renumber the lines.
+    """
+    empty = True
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -39,10 +54,10 @@ def parse_edge_list(path: str | os.PathLike) -> Graph:
             raise DataError(
                 f"{path}: line {lineno}: expected two tokens 'u v', got {len(tokens)}"
             )
-        pairs.append((tokens[0], tokens[1]))
-    if not pairs:
+        empty = False
+        yield tokens
+    if empty:
         raise DataError(f"{path}: empty edge list")
-    return build_graph(pairs)
 
 
 def tree_node_count(degree: int, depth: int) -> int:
@@ -157,14 +172,14 @@ def write_graph(g: Graph, path: str | os.PathLike) -> None:
 def write_edges(g: Graph, u: np.ndarray, v: np.ndarray, path: str | os.PathLike) -> None:
     """Write the edges (u[i], v[i]) of g by label, one 'u v' line each, LF, UTF-8."""
     lab = g.labels
-    _write_text(path, "".join(f"{lab[a]} {lab[b]}\n" for a, b in zip(u.tolist(), v.tolist())))
+    _write_text(path, (f"{lab[a]} {lab[b]}\n" for a, b in zip(u.tolist(), v.tolist())))
 
 
-def _write_text(path: str | os.PathLike, text: str) -> None:
-    """Write UTF-8 text as given (LF stays LF); an OSError is a DataError."""
+def _write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
+    """Write UTF-8 text chunk by chunk, as given (LF stays LF); an OSError is a DataError."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.writelines(chunks)
     except OSError as e:
         raise DataError(f"cannot write {path}: {e}") from e
 
@@ -185,7 +200,10 @@ def format_cell(value) -> str:
 
 def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV with a single header row and LF line endings."""
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(format_cell(x) for x in row))
-    _write_text(path, "\n".join(out) + "\n")
+
+    def lines() -> Iterator[str]:
+        yield ",".join(header) + "\n"
+        for row in rows:
+            yield ",".join(map(format_cell, row)) + "\n"
+
+    _write_text(path, lines())

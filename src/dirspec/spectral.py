@@ -190,6 +190,53 @@ def check_tolerance(tol: float) -> None:
         raise DataError(f"tolerance must be finite and positive, got {tol}")
 
 
+def _lanczos(
+    a: sp.csr_matrix, k: int, order: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k smallest eigenpairs of ``a`` by shift-inverted Lanczos, ascending,
+    and the elimination order of its factor (``order`` if given).
+
+    The factor, its solve and its operator are locals here, so they are freed
+    when this returns, before an inertia count makes a second factor.
+    """
+    n = a.shape[0]
+    lu = _ldl(a, SHIFT, order)
+    if order is None:
+        order, solve = np.argsort(lu.perm_c), lu.solve
+    else:  # lu factors a[order][:, order]: y[order] = lu.solve(x[order])
+        rank = np.argsort(order)
+        solve = lambda x: lu.solve(x[order])[rank]  # noqa: E731
+    op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
+    # fixed seed for repeatable runs; positive, so it overlaps every Perron
+    # vector, and generic, so it is not orthogonal to eigenvectors that a
+    # graph automorphism flips (a uniform start misses lambda_2 of a path)
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    try:
+        vals, vecs = eigsh(
+            a,
+            k=k,
+            sigma=SHIFT,
+            which="LM",
+            v0=v0,
+            tol=0,
+            maxiter=10 * n,
+            OPinv=op_inv,
+        )
+    except ArpackNoConvergence as e:
+        achieved = float("inf")
+        if len(e.eigenvalues):
+            part = np.linalg.norm(
+                a @ e.eigenvectors - e.eigenvectors * e.eigenvalues, axis=0
+            )
+            achieved = float(part.max())
+        raise NumericalError(
+            f"eigensolver did not converge within budget: {len(e.eigenvalues)}/{k} "
+            f"pairs, achieved residual {achieved:.3e}"
+        ) from e
+    ascending = np.argsort(vals)
+    return vals[ascending], np.ascontiguousarray(vecs[:, ascending]), order
+
+
 def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenResult:
     """The k algebraically smallest eigenpairs, with verified residuals.
 
@@ -224,42 +271,7 @@ def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenR
         vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, k - 1])
         vecs = np.ascontiguousarray(vecs)
     else:
-        lu = _ldl(a, SHIFT, m.order)
-        if m.order is None:
-            order, solve = np.argsort(lu.perm_c), lu.solve
-        else:  # lu factors a[order][:, order]: y[order] = lu.solve(x[order])
-            order, rank = m.order, np.argsort(m.order)
-            solve = lambda x: lu.solve(x[order])[rank]  # noqa: E731
-        op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
-        # fixed seed for repeatable runs; positive, so it overlaps every Perron
-        # vector, and generic, so it is not orthogonal to eigenvectors that a
-        # graph automorphism flips (a uniform start misses lambda_2 of a path)
-        v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
-        try:
-            vals, vecs = eigsh(
-                a,
-                k=k,
-                sigma=SHIFT,
-                which="LM",
-                v0=v0,
-                tol=0,
-                maxiter=10 * n,
-                OPinv=op_inv,
-            )
-        except ArpackNoConvergence as e:
-            achieved = float("inf")
-            if len(e.eigenvalues):
-                part = np.linalg.norm(
-                    a @ e.eigenvectors - e.eigenvectors * e.eigenvalues, axis=0
-                )
-                achieved = float(part.max())
-            raise NumericalError(
-                f"eigensolver did not converge within budget: {len(e.eigenvalues)}/{k} "
-                f"pairs, achieved residual {achieved:.3e}"
-            ) from e
-        ascending = np.argsort(vals)
-        vals = vals[ascending]
-        vecs = np.ascontiguousarray(vecs[:, ascending])
+        vals, vecs, order = _lanczos(a, k, m.order)
 
     avecs = a @ vecs
     residuals = np.linalg.norm(avecs - vecs * vals, axis=0)

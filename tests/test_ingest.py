@@ -20,6 +20,12 @@ from conftest import (
 )
 
 
+def _parse_error(f) -> str:
+    with pytest.raises(DataError) as e:
+        ds.parse_edge_list(f)
+    return str(e.value)
+
+
 def test_parse_simple_path(tmp_path):
     f = tmp_path / "p3.edges"
     f.write_text("a b\nb c\n")
@@ -59,6 +65,8 @@ def test_parse_malformed_line(tmp_path):
     f.write_text("a b\na b c\n")
     with pytest.raises(DataError, match="line 2"):
         ds.parse_edge_list(f)
+    f.write_text("a b\nb c d", encoding="utf-8")  # the last line has no newline
+    assert _parse_error(f) == f"{f}: line 2: expected two tokens 'u v', got 3"
 
 
 def test_parse_rejects_text_that_is_not_utf8(tmp_path):
@@ -66,6 +74,9 @@ def test_parse_rejects_text_that_is_not_utf8(tmp_path):
     f.write_bytes(b"a b\n\xff c\n")
     with pytest.raises(DataError, match=f"^{re.escape(str(f))}: not UTF-8 text"):
         ds.parse_edge_list(f)
+    # the whole file is decoded before any line is read
+    f.write_bytes(b"a b c\n\xff\n")
+    assert _parse_error(f).startswith(f"{f}: not UTF-8 text (")
 
 
 def test_parse_empty_file(tmp_path):
@@ -73,8 +84,35 @@ def test_parse_empty_file(tmp_path):
     f.write_text("# nothing\n\n")
     with pytest.raises(DataError, match="empty"):
         ds.parse_edge_list(f)
+    f.write_text("# one\n\n  # two\n", encoding="utf-8")
+    assert _parse_error(f) == f"{f}: empty edge list"
+    f.write_text("a a\n# b\nb b\n", encoding="utf-8")
+    assert _parse_error(f) == "empty graph: no edges remain after cleaning"
     with pytest.raises(DataError, match="cannot read"):
         ds.parse_edge_list(tmp_path / "missing.edges")
+
+
+def test_parse_cr_and_crlf_line_endings(tmp_path):
+    f = tmp_path / "lines.edges"
+    f.write_text("a b\nb c\nc a\n", encoding="utf-8")
+    want = ds.parse_edge_list(f)
+    for end in ("\r\n", "\r"):
+        f.write_bytes(f"# ring{end}a b{end}b c{end}{end}c a{end}".encode())
+        assert ds.parse_edge_list(f) == want
+        f.write_bytes(f"a b{end}b c{end}c a d{end}".encode())
+        assert _parse_error(f) == f"{f}: line 3: expected two tokens 'u v', got 3"
+
+
+def test_parse_counts_lines_at_newlines_only(tmp_path):
+    # a form feed, a file separator and a line separator split tokens inside
+    # a line, as whitespace does, but end no line: str.splitlines would
+    f = tmp_path / "separators.edges"
+    f.write_text("a b\nb\x0cc\nc\x1cd\nd\u2028a\n", encoding="utf-8")
+    g = ds.parse_edge_list(f)
+    assert g.labels == ("a", "b", "c", "d")
+    assert g.edge_count == 4
+    f.write_text("a b\nb\x0cc\nc\x1cd\nd\u2028a\na b c\n", encoding="utf-8")
+    assert _parse_error(f) == f"{f}: line 5: expected two tokens 'u v', got 3"
 
 
 def test_gen_tree_examples():

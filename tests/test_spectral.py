@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -315,6 +316,52 @@ def test_disconnected_interior_falls_back_to_inertia_count(monkeypatch):
     assert len(calls) == 1
     dense = np.linalg.eigvalsh(m.matrix.toarray())[0]
     assert abs(res.eigenvalues[0] - dense) <= 1e-10
+
+
+class _WeakFactor:
+    """A SuperLU factor behind a proxy that a weak reference can watch:
+    SuperLU objects support neither weak references nor GC tracking."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, b):
+        return self._lu.solve(b)
+
+    perm_c = property(lambda self: self._lu.perm_c)
+    perm_r = property(lambda self: self._lu.perm_r)
+    L = property(lambda self: self._lu.L)
+    U = property(lambda self: self._lu.U)
+
+
+def _factors_alive_at_each_factor(monkeypatch) -> list[list[int]]:
+    # for every factor made, the earlier factors still alive at that moment
+    made, alive = [], []
+    real_splu = spectral.splu
+
+    def tracking(*args, **kwargs):
+        alive.append([i for i, ref in enumerate(made) if ref() is not None])
+        f = _WeakFactor(real_splu(*args, **kwargs))
+        made.append(weakref.ref(f))
+        return f
+
+    monkeypatch.setattr(spectral, "splu", tracking)
+    return alive
+
+
+@pytest.mark.parametrize("case", ["k2", "k1-split-interior"])
+def test_a_solve_holds_one_factor_at_a_time(monkeypatch, case):
+    # the Lanczos factor is freed before the inertia factor is made, so at
+    # most one factor, and the L and U copies that reading its pivots makes,
+    # is alive at any time
+    if case == "k2":
+        m, k = build_normalized_laplacian(ds.gen_grid(30, 17)), 2
+    else:  # the split interior of test_disconnected_interior_falls_back_to_inertia_count
+        m, k = build_dirichlet_laplacian(path_graph(500), [0, 200, 499]), 1
+    alive = _factors_alive_at_each_factor(monkeypatch)
+    res = smallest_eigenpairs(m, k)
+    assert res.route == "shift-invert" and res.enclosure is None
+    assert alive == [[], []]
 
 
 def test_positive_vector_of_wrong_component_raises(monkeypatch):

@@ -9,12 +9,17 @@ seed-1 inputs of the benchmark workloads once (perfbench/generate.py), and
 runs every workload's command on them in both trees: ``gap`` on the six
 gap-isp maps, ``grow`` on each grow-isp map, ``cluster-sweep --emit-cuts`` on
 each sweep-isp map and ``tree-converge --degree 3 --max-levels 200``.  It
-adds calls on generated graphs, one per path those calls miss:
+adds calls on generated graphs and written edge files, one per path those
+calls miss:
 
 - ``cluster-sweep --emit-cuts`` on a whisker graph with a 7-fold degenerate
   eigenvalue, and on a grid with a ``--sizes`` filter;
 - ``cluster-sweep`` on ``grid:10x10``, whose empty ``degree-one`` boundary
   makes the Dirichlet operator the traditional one;
+- ``gap --input`` on three edge files it writes next to the workload inputs:
+  one with CRLF line endings, a byte-order mark, comments, a duplicate edge
+  and a self-loop, one with a malformed line and one that is not UTF-8; the
+  last two exit with code 2;
 - ``gap`` on ``grid:10x10``, whose empty boundary leaves the Dirichlet cell
   empty, on ``grid:1x2``, whose boundary covers every node and also leaves
   it empty, on a tree with ``--boundary leaves``, on a grid with
@@ -78,6 +83,14 @@ GENERATED = [
     ("tree-one-depth", ["tree-converge", "--degree", "3", "--max-levels", "1"]),
 ]
 
+# Edge files for the ``gap --input`` calls, by name.
+PARSED = {
+    "crlf-bom": "\ufeff# a ring with a tail\r\n1 2\r\n2 3\r\n\r\n3 4\r\n# chord\r\n"
+    "4 1\r\n2 1\r\n3 3\r\n4 5\r\n".encode(),
+    "malformed": b"1 2\n2 3\n3 1 4\n",
+    "not-utf8": b"1 2\n2 \xff3\n",
+}
+
 # Runs in a fresh interpreter per tree: argv[1] is the tree's src directory,
 # argv[2] a JSON list of [out_dir, cli_argv] pairs.
 DRIVER = """
@@ -92,7 +105,7 @@ for out, argv in json.loads(sys.argv[2]):
 
 
 def jobs(inputs_dir: str) -> list[tuple[str, list[str]]]:
-    """(name, argv) of every call; the workload inputs are written here."""
+    """(name, argv) of every call; the workload inputs and PARSED files are written here."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from generate import workload_inputs
     from run import cli_argv
@@ -104,6 +117,11 @@ def jobs(inputs_dir: str) -> list[tuple[str, list[str]]]:
             if workload == "sweep-isp":
                 argv.append("--emit-cuts")
             found.append((f"{workload}-{i}", argv))
+    for name, data in PARSED.items():
+        path = os.path.join(inputs_dir, f"{name}.edges")
+        with open(path, "wb") as f:
+            f.write(data)
+        found.append((f"gap-parse-{name}", ["gap", "--input", path]))
     return found + GENERATED
 
 
