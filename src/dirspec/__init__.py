@@ -57,8 +57,8 @@ from .spectral import (
     build_normalized_laplacian,
     dirichlet_gap,
     gaps,
+    paired_solves,
     smallest_eigenpairs,
-    spectral_gap,
 )
 from .tree_spectrum import (
     TreeSpectrumResult,

@@ -120,8 +120,8 @@ def cmd_tree_converge(args) -> int:
     check_tolerance(args.tol)  # no numeric solve runs when every tree is too large
     if args.degree < 3:
         raise UsageError("tree-converge requires --degree >= 3")
-    if args.max_levels < 1:
-        raise UsageError("tree-converge requires --max-levels >= 1")
+    if not 1 <= args.max_levels <= ingest.SIZE_GUARD:
+        raise UsageError(f"tree-converge requires 1 <= --max-levels <= {ingest.SIZE_GUARD}")
     depths = np.arange(1, args.max_levels + 1)
     analytic = dirichlet_gap_analytic(args.degree, depths)
     numeric = [None] * args.max_levels

@@ -20,12 +20,7 @@ import numpy as np
 from .cheeger import cheeger_ratio
 from .errors import DataError, NumericalError
 from .graph import Graph, components, is_connected
-from .spectral import (
-    SymmetricMatrix,
-    build_dirichlet_laplacian,
-    build_normalized_laplacian,
-    smallest_eigenpairs,
-)
+from .spectral import EigenResult, SymmetricMatrix, paired_solves, smallest_eigenpairs
 
 KMEANS_MAX_ROUNDS = 100
 
@@ -96,22 +91,23 @@ class SweepReport:
     avg_ht: float
 
 
-def embed(m: SymmetricMatrix, tol: float = 1e-8) -> Embedding:
-    """Coordinates from the eigenvectors of the two smallest eigenvalues.
-
-    Each eigenvector is flipped so its first nonzero component (in index_map
-    order) is positive, making the embedding deterministic.
-    """
-    if m.n < 2:
-        raise DataError("embedding requires matrix dimension >= 2")
-    res = smallest_eigenpairs(m, k=2, tol=tol)
+def _embedding(node_ids: np.ndarray, res: EigenResult) -> Embedding:
+    """The two eigenvectors of ``res`` as coordinates of ``node_ids``, each flipped
+    so its first nonzero component is positive, making the embedding deterministic."""
     coords = res.eigenvectors.copy()
     for j in range(2):
         col = coords[:, j]
         nz = np.flatnonzero(col != 0.0)
         if nz.size and col[nz[0]] < 0:
             coords[:, j] = -col
-    return Embedding(m.index_map.copy(), coords, res.eigenvalues.copy())
+    return Embedding(node_ids, coords, res.eigenvalues.copy())
+
+
+def embed(m: SymmetricMatrix, tol: float = 1e-8) -> Embedding:
+    """Coordinates from the eigenvectors of the two smallest eigenvalues (``_embedding``)."""
+    if m.n < 2:
+        raise DataError("embedding requires matrix dimension >= 2")
+    return _embedding(m.index_map.copy(), smallest_eigenpairs(m, k=2, tol=tol))
 
 
 def two_means(emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +183,7 @@ def reattach_boundary(
     return ids
 
 
-def _ranking(g: Graph, m: SymmetricMatrix, tol: float) -> np.ndarray:
-    e = embed(m, tol)
+def _ranking(g: Graph, e: Embedding) -> np.ndarray:
     centers, assign = two_means(e)
     return rank_nodes(g, e, centers, assign)
 
@@ -210,6 +205,11 @@ def sweep(
     prefix of its size of one insertion order, to which every prefix appends
     the ids it gains, ascending; ``sizes`` keeps only the rows of the listed
     sizes, and the dropped prefixes still append.
+
+    Both rankings embed ``paired_solves``'s two-pair solves; an empty boundary,
+    whose Dirichlet operator is the traditional one, ranks both by the latter.
+    Nodes that an automorphism swaps tie in exact arithmetic, so rounding
+    orders them: which of them a cut holds may move, its h and c cannot.
     """
     if not is_connected(g):
         raise DataError("sweep requires a connected graph")
@@ -218,8 +218,9 @@ def sweep(
     if inner.size < 2:
         raise DataError("sweep requires at least two interior nodes")
 
-    order_d = _ranking(g, build_dirichlet_laplacian(g, boundary), tol)
-    order_t = _ranking(g, build_normalized_laplacian(g), tol)
+    trad, diri = paired_solves(g, boundary, 2, tol)
+    order_t = _ranking(g, _embedding(np.arange(g.node_count), trad))
+    order_d = order_t if diri is None else _ranking(g, _embedding(inner, diri))
     order_t.flags.writeable = False  # the report's traditional_order
 
     wanted = set(int(s) for s in sizes) if sizes is not None else None

@@ -10,9 +10,8 @@ Both operators are sparse and only a few of their smallest eigenpairs are
 usually wanted, so partial solves use shift-inverted Lanczos on a sparse
 LDL^T factor; a dense decomposition is kept for tiny matrices and full
 spectra.  The matrix size and the number of wanted pairs alone pick the route.
-Minimum degree, most of a factor's time, runs once per graph in ``gaps``:
-the Dirichlet operator is the traditional one's interior submatrix, and its
-factor takes the traditional factor's order restricted to the interior rows.
+Minimum degree, most of a factor's time, runs once per graph: ``paired_solves``
+factors the interior block in the traditional order restricted to its rows.
 
 Lanczos can skip an eigenvalue, so a shift-invert solve must prove that it
 found the smallest ones.  The general proof is an inertia count, a second
@@ -135,7 +134,7 @@ def _ldl(a: sp.csr_matrix, shift: float, order: np.ndarray | None = None) -> Sup
     seventh of COLAMD's fill); with it, row ``order[j]`` is eliminated at step
     j, as ``np.argsort(f.perm_c)`` gives for a factor f of the same pattern,
     and ``solve`` works in that permuted basis.  A given order is a solve's
-    own minimum-degree one or the traditional one restricted in ``gaps``.
+    own minimum-degree one or the traditional one restricted by ``paired_solves``.
     """
     shifted = a - shift * sp.identity(a.shape[0], format="csr")
     if order is not None:
@@ -310,34 +309,34 @@ def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenR
     return EigenResult(vals, vecs, residuals, tol, route, order, enclosure)
 
 
-def gaps(g: Graph, boundary: Iterable[int], tol: float = 1e-8) -> tuple[float, float | None]:
-    """The traditional and the Dirichlet gap of a connected graph, from one
-    operator and one minimum-degree order (module docstring).
-
-    The Dirichlet gap is None for an empty boundary, whose operator is the
-    full Laplacian with an exact 0 that would print as rounding noise, and for
-    a boundary covering every node, which leaves no operator.  A disconnected
-    graph has a zero second eigenvalue, an error; ``largest_component``
-    reduces one first.
-    """
+def paired_solves(
+    g: Graph, boundary: Iterable[int], k: int, tol: float = 1e-8
+) -> tuple[EigenResult, EigenResult | None]:
+    """The 2 smallest eigenpairs of g's normalized Laplacian and the k smallest
+    of its Dirichlet operator on the rows ``interior(g, boundary)``, from one
+    operator and one minimum-degree order (module docstring).  The second is
+    None for an empty boundary, whose operator is the first's, and for a
+    boundary covering every node, which leaves no operator."""
     full = build_normalized_laplacian(g)
-    res = smallest_eigenpairs(full, k=2, tol=tol)
-    if abs(res.eigenvalues[0]) > 1e-10 or res.eigenvalues[1] <= 1e-10:
-        raise NumericalError(
-            "unexpected spectrum: smallest eigenvalues "
-            f"{res.eigenvalues[0]:.3e}, {res.eigenvalues[1]:.3e}"
-        )
-    trad = float(res.eigenvalues[1])
+    trad = smallest_eigenpairs(full, k=2, tol=tol)
     inner = interior(g, boundary)
     if not 0 < inner.size < g.node_count:
         return trad, None
-    sub = _restrict(replace(full, order=res.order), inner)
-    return trad, float(smallest_eigenpairs(sub, k=1, tol=tol).eigenvalues[0])
+    sub = _restrict(replace(full, order=trad.order), inner)
+    return trad, smallest_eigenpairs(sub, k=k, tol=tol)
 
 
-def spectral_gap(g: Graph, tol: float = 1e-8) -> float:
-    """Second-smallest eigenvalue of the normalized Laplacian of a connected graph."""
-    return gaps(g, (), tol)[0]
+def gaps(g: Graph, boundary: Iterable[int], tol: float = 1e-8) -> tuple[float, float | None]:
+    """The traditional and the Dirichlet gap of a connected graph by ``paired_solves``,
+    the latter None where its solve is: an empty boundary's exact 0 would print as
+    noise.  A disconnected graph's zero second eigenvalue is an error."""
+    trad, diri = paired_solves(g, boundary, 1, tol)
+    vals = trad.eigenvalues
+    if abs(vals[0]) > 1e-10 or vals[1] <= 1e-10:
+        raise NumericalError(
+            f"unexpected spectrum: smallest eigenvalues {vals[0]:.3e}, {vals[1]:.3e}"
+        )
+    return float(vals[1]), None if diri is None else float(diri.eigenvalues[0])
 
 
 def dirichlet_gap(g: Graph, boundary: Iterable[int], tol: float = 1e-8) -> float:

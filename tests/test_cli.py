@@ -9,7 +9,7 @@ import pytest
 
 import dirspec as ds
 import dirspec.cli as cli
-from dirspec import ingest, spectral
+from dirspec import clustering, ingest, spectral
 from dirspec.cli import main, parse_generator_spec
 
 from conftest import isp_like_graph, slow_eccentricity, slow_grow_rows
@@ -105,6 +105,50 @@ def test_gap_command_factorization_count(tmp_path, monkeypatch):
     argv = ["gap", "--input", *paths, "--boundary", "degree-one"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert factored == 2 * [("MMD_AT_PLUS_A", 0.0), ("NATURAL", 0.0), ("NATURAL", 0.0)]
+
+
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call to ``spectral.<name>``, wrapped at each
+    module that binds it."""
+    calls = []
+    real = getattr(spectral, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (spectral, clustering, cli):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_cluster_sweep_orders_and_assembles_once(tmp_path, monkeypatch):
+    # the Dirichlet operator is the interior block of the one assembled
+    # Laplacian, and its k=2 solve takes the traditional solve's order
+    # restricted to the interior, so minimum degree runs once per call
+    g = isp_like_graph(400, seed=7)
+    b = ds.resolve_boundary(g, "degree-one")
+    assert ds.is_connected(g) and ds.interior(g, b).size > spectral.DENSE_LIMIT
+    ds.write_graph(g, tmp_path / "isp.edges")
+    factored = []
+    real_splu = spectral.splu
+
+    def counting_splu(*args, **kwargs):
+        factored.append(kwargs["permc_spec"])
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "splu", counting_splu)
+    built = _count_calls(monkeypatch, "build_normalized_laplacian")
+    argv = ["cluster-sweep", "--input", str(tmp_path / "isp.edges"), "--out", str(tmp_path)]
+    assert main(argv + ["--boundary", "degree-one"]) == 0
+    # traditional Lanczos and inertia, then Dirichlet Lanczos and inertia
+    assert factored == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL", "NATURAL"]
+    assert len(built) == 1
+    # an empty boundary leaves one operator, so both families rank by one solve
+    solved = _count_calls(monkeypatch, "smallest_eigenpairs")
+    assert main(["cluster-sweep", "--gen", "grid:10x10", "--out", str(tmp_path)]) == 0
+    assert [m.n for m, *_ in solved] == [100]
 
 
 def test_grow_assembles_each_ball_once(tmp_path, monkeypatch):
@@ -385,9 +429,14 @@ def test_tree_converge_large_depth(tmp_path):
         ["--degree", "2", "--max-levels", "5"],
         ["--degree", "3", "--max-levels", "0"],
         ["--degree", "3", "--max-levels", "-2"],
+        ["--degree", "3", "--max-levels", str(ingest.SIZE_GUARD + 1)],
     ],
 )
-def test_tree_converge_usage_errors(tmp_path, capsys, flags):
+def test_tree_converge_usage_errors(tmp_path, capsys, monkeypatch, flags):
+    def never(*args):
+        raise AssertionError("a rejected depth reached the root bracketing")
+
+    monkeypatch.setattr(cli, "dirichlet_gap_analytic", never)
     assert main(["tree-converge", *flags, "--out", str(tmp_path)]) == 1
     assert "usage error: tree-converge requires" in capsys.readouterr().err
     assert not (tmp_path / "tree_converge.csv").exists()

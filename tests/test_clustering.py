@@ -23,6 +23,7 @@ from dirspec.spectral import build_dirichlet_laplacian, build_normalized_laplaci
 
 from conftest import (
     id_set,
+    isp_like_graph,
     path_graph,
     random_graph_suite,
     slow_components,
@@ -447,6 +448,26 @@ def test_sweep_cut_sizes_nondecreasing_and_nested():
         cut = id_set(reattach_boundary(g, b, order[:j]))
         assert prev <= cut
         prev = cut
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_sweep_rows_match_separately_assembled_operators(seed):
+    # the sweep solves one Laplacian's interior block in the traditional
+    # order; its own assembly and order give the same rows.  Nodes that an
+    # automorphism swaps may trade places in a cut, so members are not compared
+    g = isp_like_graph(400, seed=seed)
+    b = ds.resolve_boundary(g, "degree-one")
+    e = embed(build_dirichlet_laplacian(g, b))
+    centers, assign = two_means(e)
+    order_d = rank_nodes(g, e, centers, assign)
+    order_t = _traditional_ranking(g)
+    rows = []
+    for j in range(1, len(order_d)):
+        cut = reattach_boundary(g, b, order_d[:j])
+        d_rec = evaluate_cut(g, cut, "dirichlet")
+        t_rec = evaluate_cut(g, order_t[: cut.size], "traditional")
+        rows.append((cut.size, d_rec.h, d_rec.c, t_rec.h, t_rec.c))
+    assert size_rows(sweep(g, b)) == rows
 
 
 def test_sweep_size_filter():

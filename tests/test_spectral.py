@@ -453,18 +453,18 @@ def test_trivial_eigenpair_annihilated():
 
 def test_spectral_gap_examples():
     k2 = ds.build_graph([("a", "b")])
-    assert ds.spectral_gap(k2) == pytest.approx(2.0, abs=1e-12)
+    assert ds.gaps(k2, ())[0] == pytest.approx(2.0, abs=1e-12)
     tree = ds.gen_tree(3, 10)
-    gap = ds.spectral_gap(tree)
+    gap = ds.gaps(tree, ())[0]
     assert gap < 1e-3  # Cheeger bound: cutting one root branch gives h <= 1/2045
 
 
 def test_spectral_gap_disconnected_handling():
     g = ds.build_graph([("a", "b"), ("b", "c"), ("x", "y")])
-    gap = ds.spectral_gap(ds.largest_component(g))  # P3
+    gap = ds.gaps(ds.largest_component(g), ())[0]  # P3
     assert gap == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(NumericalError, match="unexpected spectrum"):
-        ds.spectral_gap(g)
+        ds.gaps(g, ())
 
 
 def test_dirichlet_gap_examples():
@@ -481,7 +481,7 @@ def test_dirichlet_gap_examples():
 def test_grid_gaps_match_reported_values():
     g = ds.gen_grid(100, 100)
     b = ds.resolve_boundary(g, "grid-perimeter")
-    trad = ds.spectral_gap(g)
+    trad = ds.gaps(g, ())[0]
     diri = ds.dirichlet_gap(g, b)
     assert trad == pytest.approx(0.00025, abs=3e-5)
     assert diri == pytest.approx(0.00050, abs=5e-5)
@@ -596,7 +596,7 @@ def test_gaps_match_the_separate_solves(monkeypatch, spec, boundary):
     trad, diri = ds.gaps(g, b)
     # minimum degree runs at most once: only the traditional Lanczos factor
     assert sum(o is None for o in orders) == (g.node_count > spectral.DENSE_LIMIT)
-    assert trad == ds.spectral_gap(g)
+    assert trad == smallest_eigenpairs(build_normalized_laplacian(g), 2).eigenvalues[1]
     assert abs(diri - ds.dirichlet_gap(g, b)) <= 1e-12
     dense = np.linalg.eigvalsh(build_dirichlet_laplacian(g, b).matrix.toarray())[0]
     assert abs(diri - dense) <= 1e-10
@@ -605,7 +605,7 @@ def test_gaps_match_the_separate_solves(monkeypatch, spec, boundary):
 def test_gaps_leave_an_undefined_dirichlet_gap_empty():
     grid = ds.gen_grid(10, 10)  # no stub: empty boundary
     trad, diri = ds.gaps(grid, ds.resolve_boundary(grid, "degree-one"))
-    assert diri is None and trad == ds.spectral_gap(grid)
+    assert diri is None and trad == ds.gaps(grid, ())[0]
     pair = ds.gen_grid(1, 2)  # both nodes are stubs: no interior
     assert ds.gaps(pair, ds.resolve_boundary(pair, "degree-one")) == (pytest.approx(2.0), None)
     with pytest.raises(NumericalError, match="unexpected spectrum"):
