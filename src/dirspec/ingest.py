@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import os
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import DataError
 from .graph import Graph, _assemble, build_graph, is_connected
 
 SIZE_GUARD = 10_000_000
+CSV_BLOCK = 512  # rows per block, fewer than the 700 allocations that start a collection
 
 
 def parse_edge_list(path: str | os.PathLike) -> Graph:
@@ -184,26 +186,28 @@ def _write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
         raise DataError(f"cannot write {path}: {e}") from e
 
 
-def format_cell(value) -> str:
-    """One CSV cell: floats at 6 significant digits, None as empty."""
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if v == 0.0:
-            return "0"
-        return f"{v:.6g}"
-    return str(value)
+def format_column(values: Sequence) -> list[str]:
+    """The CSV cells of one column of ints, or of floats and None: ints by
+    ``str``, floats at 6 significant digits with 0 for both zeros, None as the
+    empty cell.  One map over the column formats it, not a call per cell."""
+    if all(map(isinstance, values, repeat((int, np.integer)))):
+        return list(map(str, values))
+    col = np.array(values, dtype=object)
+    cells = np.full(col.size, "", dtype=object)
+    present = col != None  # noqa: E711 (elementwise)
+    floats = col[present].astype(float) + 0.0  # -0.0 + 0.0 is 0.0, which prints as 0
+    cells[present] = list(map("{:.6g}".format, floats.tolist()))
+    return cells.tolist()
 
 
 def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV with a single header row and LF line endings."""
+    """Write a CSV with a single header row and LF line endings, formatting
+    the cells by ``format_column`` over blocks of CSV_BLOCK rows."""
 
     def lines() -> Iterator[str]:
         yield ",".join(header) + "\n"
-        for row in rows:
-            yield ",".join(map(format_cell, row)) + "\n"
+        it = iter(rows)
+        while block := list(islice(it, CSV_BLOCK)):
+            yield "\n".join(map(",".join, zip(*map(format_column, zip(*block))))) + "\n"
 
     _write_text(path, lines())

@@ -12,6 +12,8 @@ LDL^T factor; a dense decomposition is kept for tiny matrices and full
 spectra.  The matrix size and the number of wanted pairs alone pick the route.
 Minimum degree, most of a factor's time, runs once per graph: ``paired_solves``
 factors the interior block in the traditional order restricted to its rows.
+On large maps with a few hubs it orders the rest, and the hubs go last
+(``_hubs_last``): SuperLU's minimum degree is slow on high-degree rows.
 
 Lanczos can skip an eigenvalue, so a shift-invert solve must prove that it
 found the smallest ones.  The general proof is an inertia count, a second
@@ -45,6 +47,14 @@ from .errors import DataError, NumericalError
 from .graph import Graph, interior
 
 DENSE_LIMIT = 64  # below this, a dense decomposition beats factor-and-iterate
+# Minimum degree postpones rows with more than HUB_DEGREE off-diagonal entries
+# (ISP 100k: 23 s, not 79 s, for the factor), except below HUB_ROWS rows (ISP
+# gaps cross over between 1,500 and 2,000) or where more than HUB_SHARE of the
+# rows are hubs (ISP maps 2.6-3.8%, tree:12x4 9.1%, connected random graphs
+# 23% and more); README, "Eigenpairs", has the measurements
+HUB_DEGREE = 10
+HUB_ROWS = 2000
+HUB_SHARE = 0.05
 SHIFT = -1e-4
 EIGENVALUE_SLACK = 1e-9
 ORTHONORMALITY_TOL = 1e-8
@@ -134,7 +144,8 @@ def _ldl(a: sp.csr_matrix, shift: float, order: np.ndarray | None = None) -> Sup
     seventh of COLAMD's fill); with it, row ``order[j]`` is eliminated at step
     j, as ``np.argsort(f.perm_c)`` gives for a factor f of the same pattern,
     and ``solve`` works in that permuted basis.  A given order is a solve's
-    own minimum-degree one or the traditional one restricted by ``paired_solves``.
+    own minimum-degree one, ``_hubs_last``'s, or the traditional one
+    restricted by ``paired_solves``.
     """
     shifted = a - shift * sp.identity(a.shape[0], format="csr")
     if order is not None:
@@ -151,6 +162,29 @@ def _ldl(a: sp.csr_matrix, shift: float, order: np.ndarray | None = None) -> Sup
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NumericalError(f"cannot factor at shift {shift:.6e}: a pivot left the diagonal")
     return lu
+
+
+def _hubs_last(a: sp.csr_matrix) -> np.ndarray | None:
+    """An elimination order for ``a`` with its hubs postponed, or None where
+    ``_ldl``'s minimum degree of the whole matrix is kept.
+
+    Hubs are the rows with more than HUB_DEGREE off-diagonal entries (AMD's
+    dense-row rule with a measured threshold).  The rest is ordered by
+    minimum degree, and the hubs follow in ascending count of hub neighbours,
+    stable: on a tree of hubs that is leaves first, while ascending degree
+    eliminates the root first.  None for matrices below HUB_ROWS rows, with
+    no hub, or with hubs in more than HUB_SHARE of the rows.
+    """
+    n = a.shape[0]
+    if n < HUB_ROWS:
+        return None
+    hub = np.diff(a.indptr) - (a.diagonal() != 0) > HUB_DEGREE
+    if not 0 < hub.sum() <= HUB_SHARE * n:
+        return None
+    rest, hubs = np.flatnonzero(~hub), np.flatnonzero(hub)
+    lu = _ldl(a[rest][:, rest], SHIFT)  # scipy has no ordering-only call
+    links = np.diff(a[hubs][:, hubs].indptr)  # plus one for a stored diagonal
+    return np.concatenate((rest[np.argsort(lu.perm_c)], hubs[np.argsort(links, kind="stable")]))
 
 
 def _collatz_wielandt(
@@ -193,12 +227,15 @@ def _lanczos(
     a: sp.csr_matrix, k: int, order: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k smallest eigenpairs of ``a`` by shift-inverted Lanczos, ascending,
-    and the elimination order of its factor (``order`` if given).
+    and the elimination order of its factor: ``order`` if given, else
+    ``_hubs_last``'s, else minimum degree's.
 
     The factor, its solve and its operator are locals here, so they are freed
     when this returns, before an inertia count makes a second factor.
     """
     n = a.shape[0]
+    if order is None:
+        order = _hubs_last(a)
     lu = _ldl(a, SHIFT, order)
     if order is None:
         order, solve = np.argsort(lu.perm_c), lu.solve
@@ -241,8 +278,9 @@ def smallest_eigenpairs(m: SymmetricMatrix, k: int, tol: float = 1e-8) -> EigenR
 
     The matrix size and k alone pick one of two routes.  Shift-inverted
     Lanczos (ARPACK mode 3) factors the positive definite ``A - SHIFT*I`` once
-    as an LDL^T, in ``m.order`` if given, else in a minimum-degree order, and
-    starts from a fixed vector, so repeated runs are deterministic; it serves
+    as an LDL^T, in ``m.order`` if given, else in a minimum-degree order (hubs
+    last where ``_hubs_last`` applies), and starts from a fixed vector, so
+    repeated runs are deterministic; it serves
     every partial solve (``k < n-1``) above DENSE_LIMIT.  Tiny matrices and
     full or near-full spectra (``k >= n-1``, which Lanczos cannot deliver)
     take a dense decomposition of only the k wanted pairs.  Either route must

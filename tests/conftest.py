@@ -489,6 +489,17 @@ def slow_dirichlet_laplacian(g: ds.Graph, interior) -> sp.csr_matrix:
     return slow_normalized_laplacian(g)[interior][:, interior].tocsr()
 
 
+def slow_format_cell(value) -> str:
+    """One CSV cell by the written rule, one call per cell: ints by ``str``,
+    floats at 6 significant digits with 0 for both zeros, None as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    return "0" if v == 0.0 else f"{v:.6g}"
+
+
 def slow_collatz_wielandt(matrix, x) -> tuple[float, float]:
     """Bounds on the smallest eigenvalue of a symmetric Z-matrix from a positive vector.
 

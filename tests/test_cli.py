@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 import time
 import warnings
 
@@ -12,7 +14,7 @@ import dirspec.cli as cli
 from dirspec import clustering, ingest, spectral
 from dirspec.cli import main, parse_generator_spec
 
-from conftest import isp_like_graph, slow_eccentricity, slow_grow_rows
+from conftest import isp_like_graph, slow_eccentricity, slow_format_cell, slow_grow_rows
 
 
 def read_csv(path):
@@ -105,6 +107,34 @@ def test_gap_command_factorization_count(tmp_path, monkeypatch):
     argv = ["gap", "--input", *paths, "--boundary", "degree-one"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert factored == 2 * [("MMD_AT_PLUS_A", 0.0), ("NATURAL", 0.0), ("NATURAL", 0.0)]
+
+
+def test_twin_grids_reach_the_one_pair_inertia_count(tmp_path, monkeypatch):
+    # the twin-grid file of tools/same_outputs.py: its interior is two equal
+    # grids, so the Dirichlet eigenvector carries both signs, no enclosure
+    # holds, and the one-pair solve is proved by an inertia count instead
+    tool = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "same_outputs.py")
+    spec = importlib.util.spec_from_file_location("same_outputs", tool)
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+    path = tmp_path / "twin-grids.edges"
+    path.write_bytes(same_outputs.twin_grids())
+    results = []
+    real = spectral.smallest_eigenpairs
+
+    def recording(m, k, tol):
+        results.append(real(m, k, tol))
+        return results[-1]
+
+    monkeypatch.setattr(spectral, "smallest_eigenpairs", recording)
+    argv = ["gap", "--input", str(path), "--boundary", "grid-perimeter", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    trad, diri = results
+    assert diri.eigenvectors.shape == (200, 1)
+    assert diri.route == "shift-invert" and diri.enclosure is None
+    x = diri.eigenvectors[:, 0]
+    assert (x > 0).any() and (x < 0).any()
 
 
 def _count_calls(monkeypatch, name):
@@ -400,13 +430,13 @@ def test_tree_converge_cells_print_as_the_per_graph_routes(tmp_path, degree):
     assert [int(r[0]) for r in rows] == list(range(1, deepest + 3))
     for levels, analytic, numeric in rows:
         levels = int(levels)
-        assert analytic == ingest.format_cell(ds.dirichlet_gap_analytic(degree, levels))
+        assert analytic == slow_format_cell(ds.dirichlet_gap_analytic(degree, levels))
         if levels > deepest:
             assert numeric == ""
             continue
         tree = ds.gen_tree(degree, levels + 1)
         gap = ds.dirichlet_gap(tree, ds.resolve_boundary(tree, "leaves"))
-        assert numeric == ingest.format_cell(gap), levels
+        assert numeric == slow_format_cell(gap), levels
 
 
 def test_tree_converge_large_depth(tmp_path):

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 import dirspec as ds
+from dirspec import ingest
 from dirspec.errors import DataError
 from dirspec.graph import Graph
-from dirspec.ingest import format_cell, tree_node_count
+from dirspec.ingest import format_column, tree_node_count
 
 from conftest import (
     path_graph,
     slow_build_graph,
+    slow_format_cell,
     slow_grid_pairs,
     slow_random_connected,
     slow_tree_pairs,
@@ -302,14 +304,37 @@ def test_write_graph_pairs_a_node_first_seen_beside_the_next(tmp_path):
 
 
 def test_format_cell():
-    assert format_cell(None) == ""
-    assert format_cell(3) == "3"
-    assert format_cell(np.int64(7)) == "7"
-    assert format_cell(0.5) == "0.5"
-    assert format_cell(-0.0) == "0"
-    assert format_cell(0.000503457616) == "0.000503458"
-    assert format_cell(1 / 3) == "0.333333"
-    assert format_cell("x") == "x"
+    assert format_column([None]) == [""]
+    assert format_column([3]) == ["3"]
+    assert format_column([np.int64(7)]) == ["7"]
+    assert format_column([0.5]) == ["0.5"]
+    assert format_column([-0.0]) == ["0"]
+    assert format_column([0.000503457616]) == ["0.000503458"]
+    assert format_column([1 / 3]) == ["0.333333"]
+    assert format_column([1234567, 12]) == ["1234567", "12"]
+
+
+def test_format_column_matches_the_cell_rule():
+    floats = [0.0, -0.0, 1e-300, 5e-324, float("inf"), -float("inf"), float("nan"),
+              1234567.0, -28.912345678, np.float64(0.082923456), np.float64(-0.0)]
+    rng = np.random.default_rng(3)
+    drawn = (rng.standard_normal(300) * 10.0 ** rng.integers(-30, 30, 300)).tolist()
+    for column in ([*floats, None, *drawn, None], [None] * 5, drawn, list(range(-3, 40)),
+                   [np.int64(2**40), 0, np.int32(-5)]):
+        assert format_column(column) == [slow_format_cell(v) for v in column]
+
+
+def test_write_csv_blocks_match_row_by_row_cells(tmp_path):
+    # three blocks and a partial one: the first rows have every cell, the
+    # rest leave the last column empty, as deep tree-converge runs do
+    n = 3 * ingest.CSV_BLOCK + 7
+    rows = [(i, 1 / (i + 1), -i / 7 if i < ingest.CSV_BLOCK + 3 else None) for i in range(n)]
+    path = tmp_path / "rows.csv"
+    ds.write_csv(path, ("i", "x", "y"), iter(rows))
+    want = "i,x,y\n" + "".join(",".join(map(slow_format_cell, r)) + "\n" for r in rows)
+    assert path.read_text() == want
+    ds.write_csv(path, ("i",), [])
+    assert path.read_bytes() == b"i\n"
 
 
 def test_write_csv_round_trip_six_significant_digits(tmp_path):

@@ -7,6 +7,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import dirspec as ds
 from dirspec import spectral
@@ -25,6 +27,7 @@ from conftest import (
     path_graph,
     slow_collatz_wielandt,
     slow_dirichlet_laplacian,
+    slow_normalized_laplacian,
     star_graph,
 )
 
@@ -610,3 +613,85 @@ def test_gaps_leave_an_undefined_dirichlet_gap_empty():
     assert ds.gaps(pair, ds.resolve_boundary(pair, "degree-one")) == (pytest.approx(2.0), None)
     with pytest.raises(NumericalError, match="unexpected spectrum"):
         ds.gaps(ds.build_graph([("a", "b"), ("x", "y")]), [0])
+
+
+FILL_BOUND = 0.10  # README: postponing hubs fills at most 10% more than minimum degree
+
+
+def _mmd_factor(a: sp.csr_matrix):
+    # minimum degree straight from scipy, the route spectral._ldl wraps
+    shifted = (a - spectral.SHIFT * sp.identity(a.shape[0])).tocsc()
+    return splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
+@pytest.mark.parametrize(
+    "spec, why",
+    [("tree:12x4", "share"), ("grid:60x60", "no hub"), ("random:3000x0.003", "share"),
+     ("isp", "rows")],
+)
+def test_guarded_graphs_keep_one_minimum_degree_factor(monkeypatch, spec, why):
+    # every interior node of tree:12x4 is a hub, as are a quarter of the
+    # random graph's nodes; the grid has none; the ISP-like graph is below
+    # the row floor: each is factored once, in minimum-degree order
+    if spec == "isp":
+        g = isp_like_graph(1900, seed=1)
+    else:
+        g = parse_generator_spec(spec)
+    hubs = int((g.degree > spectral.HUB_DEGREE).sum())
+    share = hubs / g.node_count
+    assert {"share": share > spectral.HUB_SHARE, "no hub": hubs == 0,
+            "rows": g.node_count < spectral.HUB_ROWS and 0 < share <= spectral.HUB_SHARE}[why]
+    m = build_normalized_laplacian(g)
+    orders = _spy_ldl_orders(monkeypatch)
+    res = smallest_eigenpairs(m, 2)
+    assert res.route == "shift-invert"
+    assert np.array_equal(np.sort(res.order), np.arange(m.n))
+    assert np.array_equal(res.order, np.argsort(_mmd_factor(m.matrix).perm_c))
+    assert len(orders) == 2 and orders[0] is None and orders[1] is res.order  # and the inertia count
+
+
+@pytest.mark.parametrize("spec", ["isp", "tree:22x3"])
+def test_hubs_are_eliminated_last(monkeypatch, spec):
+    # the rows of degree above HUB_DEGREE follow the rest's minimum-degree
+    # order in ascending count of hub neighbours; on tree:22x3, whose 485
+    # interior nodes are all hubs (4.8% of the rows), ascending degree would
+    # eliminate the root first and fill 3.7 times what minimum degree does
+    g = isp_like_graph(2000, seed=1) if spec == "isp" else parse_generator_spec(spec)
+    m = build_normalized_laplacian(g)
+    a = m.matrix
+    alive = _factors_alive_at_each_factor(monkeypatch)
+    res = smallest_eigenpairs(m, 2)
+    # the rest's ordering factor is freed before the whole matrix is factored
+    assert len(alive) == 3 and not any(alive)
+    monkeypatch.undo()
+    order = res.order
+    assert np.array_equal(np.sort(order), np.arange(m.n))
+    hub = g.degree > spectral.HUB_DEGREE
+    rest, hubs = np.flatnonzero(~hub), np.flatnonzero(hub)
+    assert m.n >= spectral.HUB_ROWS and 0 < hubs.size <= spectral.HUB_SHARE * m.n
+    rest_order = np.argsort(_mmd_factor(a[rest][:, rest]).perm_c)
+    assert np.array_equal(order[: rest.size], rest[rest_order])
+    last = order[rest.size:]
+    hub_neighbours = [sum(hub[g.indices[g.indptr[v]:g.indptr[v + 1]]]) for v in last]
+    assert sorted(zip(hub_neighbours, last)) == list(zip(hub_neighbours, last))
+    assert set(last) == set(hubs)
+    fill = spectral._ldl(a, spectral.SHIFT, order).nnz
+    assert fill <= (1 + FILL_BOUND) * _mmd_factor(a).nnz
+
+
+def test_hub_order_gaps_match_dense_eigenvalues():
+    # the traditional solve orders the whole ISP-like graph with its hubs
+    # last, and the Dirichlet solve inherits that order on the interior
+    g = isp_like_graph(2000, seed=2)
+    b = ds.resolve_boundary(g, "degree-one")
+    tol = 1e-8
+    trad, diri = spectral.paired_solves(g, b, 1, tol)
+    assert spectral._hubs_last(build_normalized_laplacian(g).matrix) is not None
+    inner = ds.interior(g, b)
+    assert np.array_equal(inner[diri.order], trad.order[np.isin(trad.order, inner)])
+    dense_t = np.linalg.eigvalsh(slow_normalized_laplacian(g).toarray())
+    dense_d = np.linalg.eigvalsh(slow_dirichlet_laplacian(g, inner).toarray())
+    t_gap, d_gap = ds.gaps(g, b, tol)
+    assert abs(t_gap - dense_t[1]) <= tol and abs(d_gap - dense_d[0]) <= tol
+    assert trad.eigenvalues[1] == t_gap and diri.eigenvalues[0] == d_gap

@@ -20,13 +20,19 @@ calls miss:
   one with CRLF line endings, a byte-order mark, comments, a duplicate edge
   and a self-loop, one with a malformed line and one that is not UTF-8; the
   last two exit with code 2;
+- ``gap --input`` on two more files written there: ``isp_map(20000, 3)``,
+  whose factors take the minimum-degree order with the hubs postponed, and
+  two 12x12 grids joined by one edge between corners, with ``--boundary
+  grid-perimeter``: the interior is two equal grids, the Dirichlet vector
+  carries both signs, and the one-pair solve falls back to an inertia count;
 - ``gap`` on ``grid:10x10``, whose empty boundary leaves the Dirichlet cell
   empty, on ``grid:1x2``, whose boundary covers every node and also leaves
   it empty, on a tree with ``--boundary leaves``, on a grid with
   ``--boundary grid-perimeter``, and on ``random:400x0.012 --seed 3`` with
   ``--boundary grid-perimeter``, whose 259-row interior has two components,
   so the Dirichlet factor takes the traditional order restricted to a split
-  interior;
+  interior, and on ``tree:12x4`` with ``--boundary leaves``, whose hubs are
+  too many rows (9%) to be postponed, so minimum degree orders all of it;
 - ``grow`` on ``grid:12x12``, whose full ball has no stub and so leaves the
   Dirichlet cell empty, on ``grid:1x2``, a ball with no interior, and on
   ``tree:3x6``, whose leaves are parent stubs;
@@ -70,6 +76,7 @@ GENERATED = [
     ("gap-perimeter", ["gap", "--gen", "grid:30x30", "--boundary", "grid-perimeter"]),
     ("gap-split-interior", ["gap", "--gen", "random:400x0.012", "--seed", "3",
                             "--boundary", "grid-perimeter"]),
+    ("gap-hub-share", ["gap", "--gen", "tree:12x4", "--boundary", "leaves"]),
     ("grow-full-ball", ["grow", "--gen", "grid:12x12"]),
     ("grow-no-interior", ["grow", "--gen", "grid:1x2"]),
     ("grow-leaves", ["grow", "--gen", "tree:3x6"]),
@@ -91,6 +98,16 @@ PARSED = {
     "not-utf8": b"1 2\n2 \xff3\n",
 }
 
+
+
+def twin_grids(side: int = 12) -> bytes:
+    """Two side x side grids, labels a* and b*, joined by one edge between corners."""
+    lines = [f"{g}{i}_{j} {g}{i + di}_{j + dj}\n"
+             for g in "ab" for i in range(side) for j in range(side)
+             for di, dj in ((0, 1), (1, 0)) if i + di < side and j + dj < side]
+    return "".join(lines + [f"a{side - 1}_{side - 1} b0_0\n"]).encode()
+
+
 # Runs in a fresh interpreter per tree: argv[1] is the tree's src directory,
 # argv[2] a JSON list of [out_dir, cli_argv] pairs.
 DRIVER = """
@@ -107,7 +124,7 @@ for out, argv in json.loads(sys.argv[2]):
 def jobs(inputs_dir: str) -> list[tuple[str, list[str]]]:
     """(name, argv) of every call; the workload inputs and PARSED files are written here."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from generate import workload_inputs
+    from generate import isp_map, workload_inputs, write_edge_list
     from run import cli_argv
 
     found = []
@@ -122,6 +139,13 @@ def jobs(inputs_dir: str) -> list[tuple[str, list[str]]]:
         with open(path, "wb") as f:
             f.write(data)
         found.append((f"gap-parse-{name}", ["gap", "--input", path]))
+    path = os.path.join(inputs_dir, "isp-20000-3.edges")
+    write_edge_list(path, isp_map(20000, 3))
+    found.append(("gap-isp-20000", ["gap", "--input", path]))
+    path = os.path.join(inputs_dir, "twin-grids.edges")
+    with open(path, "wb") as f:
+        f.write(twin_grids())
+    found.append(("gap-twin-grids", ["gap", "--input", path, "--boundary", "grid-perimeter"]))
     return found + GENERATED
 
 
