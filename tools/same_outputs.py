@@ -99,13 +99,12 @@ PARSED = {
 }
 
 
-
-def twin_grids(side: int = 12) -> bytes:
-    """Two side x side grids, labels a* and b*, joined by one edge between corners."""
+def twin_grids() -> bytes:
+    """Two 12x12 grids, labels a* and b*, joined by one edge between corners."""
     lines = [f"{g}{i}_{j} {g}{i + di}_{j + dj}\n"
-             for g in "ab" for i in range(side) for j in range(side)
-             for di, dj in ((0, 1), (1, 0)) if i + di < side and j + dj < side]
-    return "".join(lines + [f"a{side - 1}_{side - 1} b0_0\n"]).encode()
+             for g in "ab" for i in range(12) for j in range(12)
+             for di, dj in ((0, 1), (1, 0)) if i + di < 12 and j + dj < 12]
+    return "".join(lines + ["a11_11 b0_0\n"]).encode()
 
 
 # Runs in a fresh interpreter per tree: argv[1] is the tree's src directory,
