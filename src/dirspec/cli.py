@@ -31,7 +31,7 @@ from .graph import (
     radius_cut,
     resolve_boundary,
 )
-from .ingest import write_csv, write_edges, write_graph
+from .ingest import write_columns, write_csv, write_edges, write_graph
 from .spectral import (
     _restrict,
     build_normalized_laplacian,
@@ -140,9 +140,9 @@ def cmd_tree_converge(args) -> int:
             inner = _restrict(lap, np.arange(ingest.tree_node_count(args.degree, levels)))
             res = smallest_eigenpairs(inner, k=1, tol=args.tol)
             numeric[levels - 1] = float(res.eigenvalues[0])
-    rows = zip(depths.tolist(), analytic.tolist(), numeric)
     path = _outpath(args, "tree_converge.csv")
-    write_csv(path, ("L", "analytic_gap", "numeric_gap"), rows)
+    columns = (depths.tolist(), analytic.tolist(), numeric)
+    write_columns(path, ("L", "analytic_gap", "numeric_gap"), columns)
     print(f"wrote {path}")
     return 0
 

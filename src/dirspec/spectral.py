@@ -50,8 +50,9 @@ DENSE_LIMIT = 64  # below this, a dense decomposition beats factor-and-iterate
 # Minimum degree postpones rows with more than HUB_DEGREE off-diagonal entries
 # (ISP 100k: 23 s, not 79 s, for the factor), except below HUB_ROWS rows (ISP
 # gaps cross over between 1,500 and 2,000) or where more than HUB_SHARE of the
-# rows are hubs (ISP maps 2.6-3.8%, tree:12x4 9.1%, connected random graphs
-# 23% and more); README, "Eigenpairs", has the measurements
+# rows are hubs (ISP maps 2.6-3.8%; tree:12x4, 9.1%, ran gaps 48-71% slower
+# with its hubs last, and random graphs, 13% and more, gained nothing and
+# filled up to 41% more); README, "Eigenpairs", has the measurements
 HUB_DEGREE = 10
 HUB_ROWS = 2000
 HUB_SHARE = 0.05

@@ -491,11 +491,14 @@ def slow_dirichlet_laplacian(g: ds.Graph, interior) -> sp.csr_matrix:
 
 def slow_format_cell(value) -> str:
     """One CSV cell by the written rule, one call per cell: ints by ``str``,
-    floats at 6 significant digits with 0 for both zeros, None as empty."""
+    floats at 6 significant digits with 0 for both zeros, None as empty,
+    anything else by ``str``."""
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if not isinstance(value, (float, np.floating)):
+        return str(value)
     v = float(value)
     return "0" if v == 0.0 else f"{v:.6g}"
 

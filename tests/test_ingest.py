@@ -311,28 +311,37 @@ def test_format_cell():
     assert format_column([-0.0]) == ["0"]
     assert format_column([0.000503457616]) == ["0.000503458"]
     assert format_column([1 / 3]) == ["0.333333"]
+    assert format_column(["x"]) == ["x"]
     assert format_column([1234567, 12]) == ["1234567", "12"]
+    assert format_column([1234567, 0.5, None, True]) == ["1234567", "0.5", "", "1"]
 
 
 def test_format_column_matches_the_cell_rule():
     floats = [0.0, -0.0, 1e-300, 5e-324, float("inf"), -float("inf"), float("nan"),
-              1234567.0, -28.912345678, np.float64(0.082923456), np.float64(-0.0)]
+              1234567.0, -28.912345678, np.float64(0.082923456), np.float64(-0.0),
+              np.float32(0.1)]
     rng = np.random.default_rng(3)
     drawn = (rng.standard_normal(300) * 10.0 ** rng.integers(-30, 30, 300)).tolist()
+    mixed = [1234567, -0.0, None, 10**20, 2.5e6, np.int64(-4), False, True, np.bool_(True),
+             "x", 7, 1 / 3]
     for column in ([*floats, None, *drawn, None], [None] * 5, drawn, list(range(-3, 40)),
-                   [np.int64(2**40), 0, np.int32(-5)]):
+                   [np.int64(2**40), 0, np.int32(-5)], [], mixed, mixed[:6], [True, False]):
         assert format_column(column) == [slow_format_cell(v) for v in column]
 
 
-def test_write_csv_blocks_match_row_by_row_cells(tmp_path):
-    # three blocks and a partial one: the first rows have every cell, the
-    # rest leave the last column empty, as deep tree-converge runs do
-    n = 3 * ingest.CSV_BLOCK + 7
-    rows = [(i, 1 / (i + 1), -i / 7 if i < ingest.CSV_BLOCK + 3 else None) for i in range(n)]
-    path = tmp_path / "rows.csv"
-    ds.write_csv(path, ("i", "x", "y"), iter(rows))
+def test_write_columns_match_row_by_row_cells(tmp_path):
+    # a deep tree-converge run's shape: every cell in the first rows, the
+    # last column empty in the rest
+    n = 2000
+    columns = (list(range(1, n + 1)), [1 / (i + 1) for i in range(n)],
+               [-i / 7 if i < 515 else None for i in range(n)])
+    rows = list(zip(*columns))
     want = "i,x,y\n" + "".join(",".join(map(slow_format_cell, r)) + "\n" for r in rows)
+    path = tmp_path / "columns.csv"
+    ingest.write_columns(path, ("i", "x", "y"), columns)
     assert path.read_text() == want
+    ds.write_csv(tmp_path / "rows.csv", ("i", "x", "y"), iter(rows))
+    assert (tmp_path / "rows.csv").read_text() == want
     ds.write_csv(path, ("i",), [])
     assert path.read_bytes() == b"i\n"
 
