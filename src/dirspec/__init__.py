@@ -55,18 +55,15 @@ from .spectral import (
     SymmetricMatrix,
     build_dirichlet_laplacian,
     build_normalized_laplacian,
-    dirichlet_gap,
     gaps,
     paired_solves,
     smallest_eigenpairs,
 )
 from .tree_spectrum import (
-    TreeSpectrumResult,
     dirichlet_gap_analytic,
     infinite_tree_gap,
     sector_family_eigenvalues,
     symmetric_family_roots,
-    tree_spectrum,
 )
 
 __version__ = "0.1.0"

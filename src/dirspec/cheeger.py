@@ -25,7 +25,6 @@ class CheegerReport:
 
     value: float
     witness: np.ndarray
-    kind: str  # global-ratio | global-constant | local-ratio | local-constant
 
 
 def cheeger_ratio(g: Graph, s: Iterable[int]) -> float:
@@ -116,7 +115,7 @@ def brute_force_cheeger_constant(g: Graph) -> CheegerReport:
     total_vol = 2 * g.edge_count
     # the full set is the one subset with min(vol, total - vol) == 0
     value, witness = _minimum_ratio_subset(g, np.arange(n), lambda v: min(v, total_vol - v))
-    return CheegerReport(value=value, witness=witness, kind="global-constant")
+    return CheegerReport(value=value, witness=witness)
 
 
 def brute_force_local_cheeger_constant(g: Graph, boundary: Iterable[int]) -> CheegerReport:
@@ -129,4 +128,4 @@ def brute_force_local_cheeger_constant(g: Graph, boundary: Iterable[int]) -> Che
         raise DataError(f"interior too large for brute force ({m} > {BRUTE_FORCE_CAP})")
     # positions are interior nodes, so only interior-interior edges are inside
     value, witness = _minimum_ratio_subset(g, inner, lambda vol: vol)
-    return CheegerReport(value=value, witness=witness, kind="local-constant")
+    return CheegerReport(value=value, witness=witness)

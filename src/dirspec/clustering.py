@@ -31,7 +31,6 @@ class Embedding:
 
     node_ids: np.ndarray
     coords: np.ndarray
-    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def _embedding(node_ids: np.ndarray, res: EigenResult) -> Embedding:
         nz = np.flatnonzero(col != 0.0)
         if nz.size and col[nz[0]] < 0:
             coords[:, j] = -col
-    return Embedding(node_ids, coords, res.eigenvalues.copy())
+    return Embedding(node_ids, coords)
 
 
 def embed(m: SymmetricMatrix, tol: float = 1e-8) -> Embedding:

@@ -376,9 +376,3 @@ def gaps(g: Graph, boundary: Iterable[int], tol: float = 1e-8) -> tuple[float, f
             f"unexpected spectrum: smallest eigenvalues {vals[0]:.3e}, {vals[1]:.3e}"
         )
     return float(vals[1]), None if diri is None else float(diri.eigenvalues[0])
-
-
-def dirichlet_gap(g: Graph, boundary: Iterable[int], tol: float = 1e-8) -> float:
-    """Smallest eigenvalue of the boundary-restricted Laplacian."""
-    res = smallest_eigenpairs(build_dirichlet_laplacian(g, boundary), k=1, tol=tol)
-    return float(res.eigenvalues[0])

@@ -59,7 +59,6 @@ and of (d, L) = (3, 2000), (4, 2000), (5, 700), (6, 700), (8, 300),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,22 +195,3 @@ def sector_family_eigenvalues(degree: int, levels: int) -> tuple[np.ndarray, np.
     angles = (col - k + 1) * math.pi / (levels + 1 - k)
     return eigenvalue_from_angle(degree, angles), k
 
-
-@dataclass(frozen=True)
-class TreeSpectrumResult:
-    """Complete analytic eigenvalue inventory for one (degree, levels) tree; the
-    sector fields are the arrays (values, k) of sector_family_eigenvalues."""
-
-    degree: int
-    levels: int
-    symmetric_angles: np.ndarray
-    symmetric_eigenvalues: np.ndarray
-    sector_eigenvalues: np.ndarray
-    sector_levels: np.ndarray
-
-
-def tree_spectrum(degree: int, levels: int) -> TreeSpectrumResult:
-    angles = symmetric_family_roots(degree, levels)
-    sym_vals = eigenvalue_from_angle(degree, angles)
-    sector_vals, sector_levels = sector_family_eigenvalues(degree, levels)
-    return TreeSpectrumResult(degree, levels, angles, sym_vals, sector_vals, sector_levels)

@@ -23,7 +23,7 @@ from scipy.sparse import csgraph
 
 import dirspec as ds
 from dirspec.errors import DataError, DirspecError, NumericalError
-from dirspec.tree_spectrum import _eig_condition
+from dirspec.tree_spectrum import _eig_condition, eigenvalue_from_angle
 
 
 @pytest.fixture
@@ -472,10 +472,12 @@ def slow_bracketed_root(degree: int, levels: int, j: int) -> float:
     return lo if abs(flo) <= abs(fhi) else hi
 
 
-def merged_tree_values(spec: ds.TreeSpectrumResult) -> np.ndarray:
+def merged_tree_values(degree: int, levels: int) -> np.ndarray:
     """Sorted distinct eigenvalues of both tree families; a value at most 1e-12
     above the last one kept counts as a repeat."""
-    vals = sorted(spec.symmetric_eigenvalues.tolist() + spec.sector_eigenvalues.tolist())
+    symmetric = eigenvalue_from_angle(degree, ds.symmetric_family_roots(degree, levels))
+    sector, _ = ds.sector_family_eigenvalues(degree, levels)
+    vals = sorted(symmetric.tolist() + sector.tolist())
     merged = [vals[0]]
     for v in vals[1:]:
         if v - merged[-1] > 1e-12:

@@ -68,7 +68,7 @@ def test_embed_empty_boundary_covers_all_nodes(two_triangle):
 
 def _synthetic_embedding(points):
     pts = np.asarray(points, dtype=float)
-    return Embedding(np.arange(len(pts)), pts, np.array([0.0, 0.1]))
+    return Embedding(np.arange(len(pts)), pts)
 
 
 def test_two_means_separated_clusters():

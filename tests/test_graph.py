@@ -250,8 +250,6 @@ def test_resolve_boundary_no_interior():
         b = ds.resolve_boundary(g, policy)
         assert b.tolist() == list(range(g.node_count))
         with pytest.raises(DataError, match="empty interior: boundary covers every node"):
-            ds.dirichlet_gap(g, b)
-        with pytest.raises(DataError, match="empty interior: boundary covers every node"):
             ds.build_dirichlet_laplacian(g, b)
         with pytest.raises(DataError, match="sweep requires at least two interior nodes"):
             ds.sweep(g, b)
@@ -272,7 +270,7 @@ def test_resolve_boundary_explicit():
     assert list(ds.interior(p5, boundary)) == [1, 2, 3]
     assert ds.build_dirichlet_laplacian(p5, boundary).index_map.tolist() == [1, 2, 3]
     with pytest.raises(DataError, match="out of range"):
-        ds.dirichlet_gap(p5, [9])
+        ds.build_dirichlet_laplacian(p5, [9])
     with pytest.raises(DataError, match="unknown boundary policy"):
         ds.resolve_boundary(p5, "perimeter")
     for gone in ("radius-cut", "explicit-list"):
@@ -320,7 +318,7 @@ def test_non_integer_node_ids_raise(ids, match):
         ds.volume(g, ids)
     # every function that takes a boundary checks its ids where it uses them
     for takes_boundary in (
-        lambda b: ds.dirichlet_gap(g, b),
+        lambda b: ds.build_dirichlet_laplacian(g, b),
         lambda b: ds.reattach_boundary(g, b, []),
         lambda b: ds.local_cheeger_ratio(g, b, [4]),
         lambda b: ds.brute_force_local_cheeger_constant(g, b),

@@ -301,7 +301,7 @@ def test_collatz_wielandt_oracle_brackets_dirichlet_gap(monkeypatch, spec, bound
     assert res.route == "shift-invert"
     lo, hi = slow_collatz_wielandt(a, res.eigenvectors[:, 0])
     assert lo <= dense_min + 1e-12 and dense_min - 1e-12 <= hi
-    assert lo <= ds.dirichlet_gap(g, b) <= hi
+    assert lo <= smallest_eigenpairs(build_dirichlet_laplacian(g, b), 1).eigenvalues[0] <= hi
     assert hi - lo <= 1e-12
     assert res.enclosure is not None
     assert res.enclosure[0] <= lo and hi <= res.enclosure[1]
@@ -472,11 +472,11 @@ def test_spectral_gap_disconnected_handling():
 
 def test_dirichlet_gap_examples():
     star = star_graph(3)
-    assert ds.dirichlet_gap(star, ds.resolve_boundary(star, "leaves")) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    m = build_dirichlet_laplacian(star, ds.resolve_boundary(star, "leaves"))
+    assert smallest_eigenpairs(m, 1).eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
     tree = ds.gen_tree(3, 2)
-    gap = ds.dirichlet_gap(tree, ds.resolve_boundary(tree, "leaves"))
+    m = build_dirichlet_laplacian(tree, ds.resolve_boundary(tree, "leaves"))
+    gap = smallest_eigenpairs(m, 1).eigenvalues[0]
     # closed form: symmetric 2x2 reduction gives (1 - gap)^2 = 1/3
     assert gap == pytest.approx(1.0 - 1.0 / math.sqrt(3), abs=1e-10)
 
@@ -485,7 +485,7 @@ def test_grid_gaps_match_reported_values():
     g = ds.gen_grid(100, 100)
     b = ds.resolve_boundary(g, "grid-perimeter")
     trad = ds.gaps(g, ())[0]
-    diri = ds.dirichlet_gap(g, b)
+    diri = smallest_eigenpairs(build_dirichlet_laplacian(g, b), 1).eigenvalues[0]
     assert trad == pytest.approx(0.00025, abs=3e-5)
     assert diri == pytest.approx(0.00050, abs=5e-5)
     # the interior operator is exactly separable, so this form is exact
@@ -600,7 +600,8 @@ def test_gaps_match_the_separate_solves(monkeypatch, spec, boundary):
     # minimum degree runs at most once: only the traditional Lanczos factor
     assert sum(o is None for o in orders) == (g.node_count > spectral.DENSE_LIMIT)
     assert trad == smallest_eigenpairs(build_normalized_laplacian(g), 2).eigenvalues[1]
-    assert abs(diri - ds.dirichlet_gap(g, b)) <= 1e-12
+    alone = smallest_eigenpairs(build_dirichlet_laplacian(g, b), 1).eigenvalues[0]
+    assert abs(diri - alone) <= 1e-12
     dense = np.linalg.eigvalsh(build_dirichlet_laplacian(g, b).matrix.toarray())[0]
     assert abs(diri - dense) <= 1e-10
 

@@ -63,7 +63,8 @@ def test_gap_analytic_matches_numeric_small_tree():
     gap = ds.dirichlet_gap_analytic(3, 1)
     assert gap == pytest.approx(1 - 1 / math.sqrt(3), abs=1e-12)
     tree = ds.gen_tree(3, 2)
-    numeric = ds.dirichlet_gap(tree, ds.resolve_boundary(tree, "leaves"))
+    m = build_dirichlet_laplacian(tree, ds.resolve_boundary(tree, "leaves"))
+    numeric = smallest_eigenpairs(m, 1).eigenvalues[0]
     assert gap == pytest.approx(numeric, abs=1e-10)
 
 
@@ -145,7 +146,6 @@ def test_gap_lane_without_sign_change_is_named(monkeypatch):
 
 @pytest.mark.parametrize("value", [1.0, -1.0])
 def test_gap_analytic_bracket_without_sign_change_raises(monkeypatch, value):
-    # the package attribute dirspec.tree_spectrum is the function, not the module
     module = importlib.import_module("dirspec.tree_spectrum")
     monkeypatch.setattr(module, "_eig_condition", lambda degree, levels, a: value)
     for solve in (ds.dirichlet_gap_analytic, ds.symmetric_family_roots):
@@ -161,13 +161,12 @@ def test_symmetric_family_matches_radial_spectrum():
         for levels in (1, 2, 3, 4, 7, 10, 31, 64, 100, 257)
     ]
     for degree, levels in [*cases, *DEEP_CASES]:
-        spec = ds.tree_spectrum(degree, levels)
-        angles = spec.symmetric_angles
+        angles = ds.symmetric_family_roots(degree, levels)
         assert len(angles) == levels + 1
         assert (np.diff(angles) > 0).all() and 0 < angles[0] and angles[-1] < math.pi
         worst = max(abs(_eig_condition(degree, levels, a)) for a in angles)
         assert worst <= 8 * eps * degree * (levels + 2), (degree, levels)
-        got = np.sort(spec.symmetric_eigenvalues)
+        got = np.sort(eigenvalue_from_angle(degree, angles))
         want = slow_radial_tree_spectrum(degree, levels)
         assert np.abs(got - want).max() <= 1e-12, (degree, levels)
 
@@ -182,7 +181,8 @@ def test_gap_analytic_monotone_and_above_infinite():
 def test_oracle_solver_agreement_subset():
     for degree, levels in ((3, 1), (3, 2), (3, 3), (3, 4), (4, 2), (5, 2)):
         tree = ds.gen_tree(degree, levels + 1)
-        numeric = ds.dirichlet_gap(tree, ds.resolve_boundary(tree, "leaves"))
+        m = build_dirichlet_laplacian(tree, ds.resolve_boundary(tree, "leaves"))
+        numeric = smallest_eigenpairs(m, 1).eigenvalues[0]
         assert ds.dirichlet_gap_analytic(degree, levels) == pytest.approx(
             numeric, abs=1e-8
         )
@@ -213,22 +213,19 @@ def test_sector_family_equals_scalar_loop(degree, levels):
     # exact, value by value
     assert np.array_equal(values, np.array([v for v, _ in pairs]))
     assert np.array_equal(ks, np.array([k for _, k in pairs]))
-    spec = ds.tree_spectrum(degree, levels)
-    assert np.array_equal(spec.sector_eigenvalues, values)
-    assert np.array_equal(spec.sector_levels, ks)
 
 
 def test_symmetric_values_outside_infinite_gap():
     for degree, levels in ((3, 5), (4, 4), (5, 3)):
-        spec = ds.tree_spectrum(degree, levels)
+        values = eigenvalue_from_angle(degree, ds.symmetric_family_roots(degree, levels))
         inf_gap = ds.infinite_tree_gap(degree)
-        assert (spec.symmetric_eigenvalues >= inf_gap - 1e-12).all()
-        assert (np.diff(spec.symmetric_eigenvalues) > 0).all()
+        assert (values >= inf_gap - 1e-12).all()
+        assert (np.diff(values) > 0).all()
 
 
 def test_full_spectrum_set_agreement_small():
     for degree, levels in ((3, 1), (3, 2)):
-        values = merged_tree_values(ds.tree_spectrum(degree, levels))
+        values = merged_tree_values(degree, levels)
         tree = ds.gen_tree(degree, levels + 1)
         b = ds.resolve_boundary(tree, "leaves")
         m = build_dirichlet_laplacian(tree, b)
